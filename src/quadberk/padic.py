@@ -24,16 +24,37 @@ INF = math.inf
 Rat = Union[int, Fraction]
 
 
+#: The first 13 primes.  Miller-Rabin with these bases decides primality
+#: exactly for every n below MR_BOUND (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError for n >= MR_BOUND."""
+    if n >= MR_BOUND:
+        raise ValueError(
+            f"p = {n} is too large: primality is decided exactly only below {MR_BOUND}"
+        )
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -3,7 +3,9 @@
 A map phi = F/G of degree 2 is stored as the six rational coefficients of a
 homogeneous lift [F, G] with F = a0*X^2 + a1*X*Y + a2*Y^2 and
 G = b0*X^2 + b1*X*Y + b2*Y^2.  Nondegeneracy (Sylvester resultant nonzero)
-is enforced at construction.
+is enforced at construction.  The resultant and conjugation are computed on
+integers: coefficients are scaled by the lcm of their denominators, the
+closed-form integer identity is evaluated, and the scale is divided out once.
 
 Type II points of the projective Berkovich line are written in the affine
 chart as a center a in Q together with a radius exponent m, standing for the
@@ -20,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DegenerateMapError,
@@ -29,24 +32,28 @@ from .errors import (
     UnboundedProfileError,
 )
 from .padic import PrimeCtx, Rat, vp
-from .polyutil import exact_det
+
+
+def _integral(coeffs) -> tuple:
+    """(ints, L): L is the lcm of the denominators and ints[i] = L * coeffs[i]."""
+    fs = [Fraction(c) for c in coeffs]
+    L = lcm(*(f.denominator for f in fs))
+    return [f.numerator * (L // f.denominator) for f in fs], L
 
 
 def resultant_forms(f: tuple, g: tuple) -> Fraction:
     """Sylvester resultant of two binary quadratic forms (raw, total).
 
-    Zero output signals a common projective factor; Lift construction
-    rejects that case, but the raw operation accepts any coefficients.
+    Closed form (a0*b2 - a2*b0)^2 - (a0*b1 - a1*b0)*(a1*b2 - a2*b1) of the
+    4x4 Sylvester determinant, evaluated on the coefficients scaled to
+    integers by a common L and divided by L^4 (the resultant is of degree
+    2 in each form).  Zero output signals a common projective factor; Lift
+    construction rejects that case, but the raw operation accepts any
+    coefficients.
     """
-    a0, a1, a2 = (Fraction(c) for c in f)
-    b0, b1, b2 = (Fraction(c) for c in g)
-    rows = [
-        [a0, a1, a2, 0],
-        [0, a0, a1, a2],
-        [b0, b1, b2, 0],
-        [0, b0, b1, b2],
-    ]
-    return exact_det(rows)
+    (a0, a1, a2, b0, b1, b2), L = _integral((*f, *g))
+    res = (a0 * b2 - a2 * b0) ** 2 - (a0 * b1 - a1 * b0) * (a1 * b2 - a2 * b1)
+    return Fraction(res, L**4)
 
 
 @dataclass(frozen=True)
@@ -155,7 +162,7 @@ def gauss_point() -> TypeIIPoint:
 
 
 def resultant(lift: Lift) -> Fraction:
-    """Sylvester resultant of the lift (4x4 determinant)."""
+    """Sylvester resultant of the lift, by the closed form of resultant_forms."""
     return resultant_forms(lift.f_coeffs, lift.g_coeffs)
 
 
@@ -175,9 +182,11 @@ def conjugate(lift: Lift, g: Mobius) -> Lift:
 
     F^g(X,Y) = D*F(AX+BY, CX+DY) - B*G(AX+BY, CX+DY) and
     G^g(X,Y) = -C*F(AX+BY, CX+DY) + A*G(AX+BY, CX+DY); no normalization
-    is applied.
+    is applied.  With the lift scaled to integers by L and the matrix by M,
+    every output coefficient is an integer times 1/(L*M^3).
     """
-    A, B, C, D = g.A, g.B, g.C, g.D
+    coeffs, L = _integral(lift.coeffs)
+    (A, B, C, D), M = _integral((g.A, g.B, g.C, g.D))
 
     def compose(c0, c1, c2):
         # coefficients of c0*U^2 + c1*U*V + c2*V^2 with U = AX+BY, V = CX+DY
@@ -187,10 +196,11 @@ def conjugate(lift: Lift, g: Mobius) -> Lift:
             c0 * B * B + c1 * B * D + c2 * D * D,
         )
 
-    fc = compose(*lift.f_coeffs)
-    gc = compose(*lift.g_coeffs)
-    new_f = tuple(D * fc[i] - B * gc[i] for i in range(3))
-    new_g = tuple(-C * fc[i] + A * gc[i] for i in range(3))
+    fc = compose(*coeffs[:3])
+    gc = compose(*coeffs[3:])
+    scale = L * M**3
+    new_f = (Fraction(D * fc[i] - B * gc[i], scale) for i in range(3))
+    new_g = (Fraction(-C * fc[i] + A * gc[i], scale) for i in range(3))
     return Lift(*new_f, *new_g)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import NonIntegralRadiusError, QuadberkError
+from .errors import InternalInvariantError, NonIntegralRadiusError, QuadberkError
 from .padic import PrimeCtx, ResidueElem, reduce_residue
 from .quadmap import Lift, Mobius, TypeIIPoint, conjugate, normalize
 
@@ -145,7 +145,10 @@ def reduce_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> ResidueMap:
     common = _gcd_p(f_univ, g_univ, ctx.p)
     qf, rf = _divmod_p(f_univ, common, ctx.p)
     qg, rg = _divmod_p(g_univ, common, ctx.p)
-    assert not rf and not rg
+    if rf or rg:
+        raise InternalInvariantError(
+            f"gcd {common} does not divide the residue forms {f_univ}, {g_univ} mod {ctx.p}"
+        )
     deg = 2 - y_common - (len(common) - 1)
 
     def homogenize(univ: list) -> tuple:

@@ -48,6 +48,37 @@ def sylvester_rows(f, g):
     ]
 
 
+def conjugate_oracle(lift: Lift, g: Mobius) -> Lift:
+    """Conjugate lift [F^g, G^g] composed directly in Fraction arithmetic."""
+    A, B, C, D = g.A, g.B, g.C, g.D
+
+    def compose(c0, c1, c2):
+        # coefficients of c0*U^2 + c1*U*V + c2*V^2 with U = AX+BY, V = CX+DY
+        return (
+            c0 * A * A + c1 * A * C + c2 * C * C,
+            2 * c0 * A * B + c1 * (A * D + B * C) + 2 * c2 * C * D,
+            c0 * B * B + c1 * B * D + c2 * D * D,
+        )
+
+    fc = compose(*lift.f_coeffs)
+    gc = compose(*lift.g_coeffs)
+    new_f = tuple(D * fc[i] - B * gc[i] for i in range(3))
+    new_g = tuple(-C * fc[i] + A * gc[i] for i in range(3))
+    return Lift(*new_f, *new_g)
+
+
+def trial_division_is_prime(n: int) -> bool:
+    """Primality by trial division up to sqrt(n)."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def esf3(l1, l2, l3):
     """Elementary symmetric functions of three rationals."""
     l1, l2, l3 = Fraction(l1), Fraction(l2), Fraction(l3)
@@ -107,6 +138,11 @@ def rand_unit(rng, p: int, span: int = 30) -> Fraction:
         d = rng.randint(1, span)
         if n % p != 0 and d % p != 0:
             return Fraction(n, d)
+
+
+def rand_rat_bits(rng, bits: int) -> Fraction:
+    """Random rational with numerator and denominator of up to `bits` bits."""
+    return Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
 
 
 def rand_lift(rng) -> Lift:

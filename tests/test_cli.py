@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,7 @@ from quadberk import (
     lift_to_expr,
     parse_map,
 )
+import quadberk
 from quadberk.cli import run
 from _support import rand_lift
 
@@ -225,3 +229,25 @@ def test_cli_human_output(capsys):
     assert run(["classify", "-p", "5", "--map", "z + 1/5 + 1/z"]) == 0
     out = capsys.readouterr().out
     assert "stratum: W3" in out and "sigma1: 74/25" in out
+
+
+def test_python_m_cli_matches_run(capsys):
+    argv = ["verify", "-p", "5", "--map", "z + 1/5 + 1/z", "--json"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(quadberk.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadberk.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+
+
+def test_cli_prime_beyond_primality_bound(capsys):
+    assert run(["classify", "-p", str(2**89 - 1), "--map", "z^2", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "too large" in captured.err

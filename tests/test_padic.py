@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,8 @@ from quadberk import (
     residue_inverse,
     vp,
 )
-from _support import exhaustive_inverse, expand_monic, int_vp
+from quadberk.padic import MR_BOUND, _is_prime
+from _support import exhaustive_inverse, expand_monic, int_vp, trial_division_is_prime
 
 P5 = PrimeCtx(5)
 P3 = PrimeCtx(3)
@@ -29,6 +31,33 @@ def test_prime_ctx_rejects_composites():
         with pytest.raises(ValueError):
             PrimeCtx(bad)
     PrimeCtx(2), PrimeCtx(97)
+
+
+def test_primality_matches_trial_division():
+    assert all(_is_prime(n) == trial_division_is_prime(n) for n in range(100_000))
+
+
+def test_large_prime_accepted_quickly():
+    start = time.perf_counter()
+    assert PrimeCtx(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_pseudoprimes_rejected():
+    # Carmichael numbers and strong pseudoprimes; the last is the smallest
+    # strong pseudoprime to all of the first 12 prime bases
+    for n in (561, 2047, 41041, 3215031751, 3825123056546413051,
+              318665857834031151167461):
+        with pytest.raises(ValueError):
+            PrimeCtx(n)
+
+
+def test_primality_bound():
+    assert PrimeCtx(MR_BOUND - 168).p == MR_BOUND - 168  # the largest prime below it
+    with pytest.raises(ValueError, match="too large"):
+        PrimeCtx(MR_BOUND)
+    with pytest.raises(ValueError, match="too large"):
+        PrimeCtx(2**89 - 1)  # a prime beyond the bound
 
 
 def test_vp_examples():

@@ -25,7 +25,15 @@ from quadberk import (
     resultant_forms,
     vp,
 )
-from _support import perm_det, rand_lift, rand_mobius, rand_rat, sylvester_rows
+from _support import (
+    conjugate_oracle,
+    perm_det,
+    rand_lift,
+    rand_mobius,
+    rand_rat,
+    rand_rat_bits,
+    sylvester_rows,
+)
 
 P5 = PrimeCtx(5)
 P3 = PrimeCtx(3)
@@ -53,6 +61,19 @@ def test_degenerate_lift_rejected():
 def test_resultant_matches_permutation_oracle(cs):
     f, g = tuple(cs[:3]), tuple(cs[3:])
     assert resultant_forms(f, g) == perm_det(sylvester_rows(f, g))
+
+
+def test_resultant_matches_permutation_oracle_40_bit():
+    rng = random.Random(13)
+    for _ in range(300):
+        cs = [rand_rat_bits(rng, 40) if rng.random() > 0.1 else Fraction(0) for _ in range(6)]
+        f, g = tuple(cs[:3]), tuple(cs[3:])
+        assert resultant_forms(f, g) == perm_det(sylvester_rows(f, g))
+        # a common linear factor forces a zero resultant
+        r, s = rand_rat_bits(rng, 40), rand_rat_bits(rng, 40)
+        fr = (f[0] * r, f[0] * s + f[1] * r, f[1] * s)
+        gr = (g[0] * r, g[0] * s + g[1] * r, g[1] * s)
+        assert resultant_forms(fr, gr) == 0
 
 
 def test_normalize_examples():
@@ -94,6 +115,28 @@ def test_conjugate_round_trip():
         g = rand_mobius(rng)
         back = conjugate(conjugate(L, g), g.inverse())
         assert back.proportional_to(L)
+
+
+def test_conjugate_matches_fraction_oracle():
+    rng = random.Random(14)
+    for _ in range(500):
+        L = rand_lift(rng)
+        g = rand_mobius(rng)
+        assert conjugate(L, g) == conjugate_oracle(L, g)
+
+
+def test_conjugate_affine_matches_fraction_oracle_40_bit():
+    # the matrices ord_res_at and reduce_at use: z -> a + p^m z
+    rng = random.Random(15)
+    for _ in range(300):
+        while True:
+            cs = [rand_rat_bits(rng, 40) for _ in range(6)]
+            if resultant_forms(tuple(cs[:3]), tuple(cs[3:])) != 0:
+                break
+        L = Lift(*cs)
+        p = rng.choice((2, 3, 5, 7, 13))
+        g = Mobius.affine(Fraction(p) ** rng.randint(-12, 12), rand_rat_bits(rng, 40))
+        assert conjugate(L, g) == conjugate_oracle(L, g)
 
 
 def test_resultant_transformation_law():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from quadberk import (
+    InternalInvariantError,
     Lift,
     NonIntegralRadiusError,
     PrimeCtx,
@@ -54,6 +55,16 @@ def test_reduce_at_moved_case():
     assert residue.degree == 0
     assert residue.ftilde == (1,) and residue.gtilde == (0,)  # constant infinity
     assert classify_residue(residue).kind is ResidueKind.MOVED
+
+
+def test_reduce_at_checks_gcd_division(monkeypatch):
+    # the check must survive python -O, so it may not be an assert
+    from quadberk import reduction
+
+    # a "gcd" z + 1 that divides neither z^2 nor 1
+    monkeypatch.setattr(reduction, "_gcd_p", lambda f, g, p: [1, 1])
+    with pytest.raises(InternalInvariantError):
+        reduce_at(Lift(1, 0, 0, 0, 0, 1), gauss_point(), P5)
 
 
 def test_reduce_at_rejects_half_integer():
