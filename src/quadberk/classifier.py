@@ -21,54 +21,37 @@ from fractions import Fraction
 
 from .errors import QuadberkError
 from .invariants import SigmaInvariants
-from .padic import INF, PrimeCtx, ResidueElem, newton_slopes, reduce_residue, vp
+from .padic import INF, PrimeCtx, newton_slopes, reduce_residue, vp
 
 W1, W2, W3, W4 = "W1", "W2", "W3", "W4"
 
 
 @dataclass(frozen=True)
 class ReductionType:
-    """One of the four strata; W2 carries the payload x (never 2 mod p)."""
+    """One of the four strata; W2 carries the payload x in [0, p), never
+    2 mod p, together with its prime p."""
 
     tag: str
-    x_tilde: ResidueElem | None = None
+    x_tilde: int | None = None
+    p: int | None = None
 
     def __post_init__(self):
         if self.tag not in (W1, W2, W3, W4):
             raise QuadberkError(f"unknown stratum tag {self.tag!r}")
-        if (self.tag == W2) != (self.x_tilde is not None):
-            raise QuadberkError("x_tilde is carried exactly by W2")
-        if self.tag == W2 and self.x_tilde == 2:
-            raise QuadberkError("W2 payload cannot equal 2 (that point is W3)")
+        if (self.tag == W2) != (self.x_tilde is not None) or (self.x_tilde is None) != (self.p is None):
+            raise QuadberkError("x_tilde and p are carried exactly by W2")
+        if self.tag == W2 and (self.x_tilde - 2) % self.p == 0:
+            raise QuadberkError("W2 payload cannot be 2 mod p (that point is W3)")
 
     def __repr__(self) -> str:
         if self.tag == W2:
-            return f"W2(x_tilde={self.x_tilde.value} mod {self.x_tilde.ctx.p})"
+            return f"W2(x_tilde={self.x_tilde} mod {self.p})"
         return self.tag
 
 
-@dataclass(frozen=True)
-class ProjectivePointFp:
-    """Point of P^2(F_p), normalized so the first nonzero coordinate is 1."""
-
-    x: ResidueElem
-    y: ResidueElem
-    z: ResidueElem
-
-    @classmethod
-    def from_triple(cls, x: ResidueElem, y: ResidueElem, z: ResidueElem) -> "ProjectivePointFp":
-        for lead in (x, y, z):
-            if lead != 0:
-                inv = lead.inverse()
-                return cls(x * inv, y * inv, z * inv)
-        raise QuadberkError("projective point cannot be (0, 0, 0)")
-
-    def coordinates(self) -> tuple:
-        return (self.x.value, self.y.value, self.z.value)
-
-
-def specialize(sigma: SigmaInvariants, ctx: PrimeCtx) -> ProjectivePointFp:
-    """Specialization of [sigma1 : sigma2 : 1] to P^2(F_p).
+def specialize(sigma: SigmaInvariants, ctx: PrimeCtx) -> tuple:
+    """Specialization of [sigma1 : sigma2 : 1] to P^2(F_p), as an int triple
+    normalized so that its first nonzero coordinate is 1.
 
     Scales the triple by p^(-mu) with mu = min(vp(sigma1), vp(sigma2), 0),
     which makes every coordinate integral and some coordinate a unit, then
@@ -76,24 +59,22 @@ def specialize(sigma: SigmaInvariants, ctx: PrimeCtx) -> ProjectivePointFp:
     """
     mu = min(vp(sigma.sigma1, ctx), vp(sigma.sigma2, ctx), 0)
     factor = Fraction(ctx.p) ** (-mu)
-    return ProjectivePointFp.from_triple(
-        reduce_residue(sigma.sigma1 * factor, ctx),
-        reduce_residue(sigma.sigma2 * factor, ctx),
-        reduce_residue(factor, ctx),
-    )
+    point = [reduce_residue(c, ctx) for c in (sigma.sigma1 * factor, sigma.sigma2 * factor, factor)]
+    inv = pow(next(c for c in point if c != 0), -1, ctx.p)
+    return tuple(c * inv % ctx.p for c in point)
 
 
 def stratum(sigma: SigmaInvariants, ctx: PrimeCtx) -> ReductionType:
     """The stratum of the map with the given sigma invariants."""
-    point = specialize(sigma, ctx)
-    if point.z != 0:
+    x, y, z = specialize(sigma, ctx)
+    if z != 0:
         return ReductionType(W1)
-    if point.x != 0:
-        # normalized so x = 1; the boundary coordinate is y = sigma2/sigma1
-        x_tilde = point.y
-        if x_tilde == 2:
+    if x != 0:
+        # normalized so x = 1; the boundary coordinate is y = sigma2/sigma1,
+        # and W3 is y = 2 mod p (y = 0 at p = 2)
+        if y == 2 % ctx.p:
             return ReductionType(W3)
-        return ReductionType(W2, x_tilde)
+        return ReductionType(W2, y, ctx.p)
     return ReductionType(W4)
 
 

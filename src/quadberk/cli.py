@@ -67,7 +67,7 @@ def _point_dict(point: TypeIIPoint) -> dict:
 def _stratum_fields(strat) -> dict:
     fields = {"stratum": strat.tag}
     if strat.tag == W2:
-        fields["x_tilde"] = str(strat.x_tilde.value)
+        fields["x_tilde"] = str(strat.x_tilde)
     return fields
 
 
@@ -82,7 +82,7 @@ def _sigma_fields(sigma) -> dict:
 def _residue_fields(rc) -> dict:
     fields = {"residue_class": rc.kind.value}
     if rc.x_tilde is not None:
-        fields["residue_x_tilde"] = str(rc.x_tilde.value)
+        fields["residue_x_tilde"] = str(rc.x_tilde)
     return fields
 
 
@@ -321,10 +321,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: options whose value is a rational or a range of rationals
+_RATIONAL_OPTIONS = ("--center", "--rexp", "--l1", "--l2")
+
+
+def _attach_negative_values(argv: list) -> list:
+    """Write "--l1 -2:2:1/2" as "--l1=-2:2:1/2": argparse reads a value such
+    as -1/2 or -2:2 that follows an option as an option of its own."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:

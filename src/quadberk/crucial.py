@@ -19,14 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classifier import W1, W2, W3, W4, ReductionType, stratum
-from .errors import (
-    ConsistencyFailure,
-    DegenerateMultipliersError,
-    NotNormalFormError,
-    UnhandledResidueCaseError,
-)
+from .errors import ConsistencyFailure, DegenerateMultipliersError, NotNormalFormError
 from .invariants import SigmaInvariants, lambda3_from, sigma_invariants
-from .padic import PrimeCtx, Rat, reduce_residue, residue_inverse, vp
+from .padic import PrimeCtx, Rat, reduce_residue, vp
 from .quadmap import (
     Lift,
     TypeIIPoint,
@@ -60,8 +55,9 @@ class CrucialReport:
 
     ``lift`` is the normal form the numbers refer to (the multiplier pair
     may have been reordered into the convention with the repelling
-    multiplier first).  ``residue_class`` is None exactly when
-    ``residue_unavailable`` explains why (half-integer radius exponent).
+    multiplier first, or re-paired to get a unit gap).  ``residue_class``
+    is None exactly when ``residue_unavailable`` explains why (half-integer
+    radius exponent).
     """
 
     xi: TypeIIPoint
@@ -73,16 +69,12 @@ class CrucialReport:
 
 
 def _check_stratum_residue(strat: ReductionType, rc: ResidueClass, context: dict) -> None:
-    expected = STRATUM_TO_RESIDUE[strat.tag]
-    if rc.kind is not expected:
+    # x_tilde is None on both sides except W2 <-> multiplicative, where the
+    # payloads are ints in [0, p) and must be equal
+    if rc.kind is not STRATUM_TO_RESIDUE[strat.tag] or strat.x_tilde != rc.x_tilde:
         raise ConsistencyFailure(
-            f"stratum {strat.tag} expects residue kind {expected.value}, got {rc.kind.value}",
+            f"stratum {strat!r} disagrees with residue class {rc!r}",
             context | {"stratum": strat, "residue_class": rc},
-        )
-    if strat.tag == W2 and strat.x_tilde != rc.x_tilde:
-        raise ConsistencyFailure(
-            "W2 payload disagrees with the multiplicative residue payload",
-            context | {"stratum_payload": strat.x_tilde, "residue_payload": rc.x_tilde},
         )
 
 
@@ -131,15 +123,13 @@ def predict_xi_distinct_fixed(lambda1: Rat, lambda2: Rat, ctx: PrimeCtx) -> Cruc
       * no repelling multiplier, l1*l2 - 1 a unit: xi is the Gauss point, W1;
       * no repelling multiplier, all three residues 1: xi is centered at -1
         with radius exponent vp(l1*l2 - 1)/2 (possibly a half-integer), W1;
+      * no repelling multiplier, l1*l2 = 1 mod p, residues not all 1: then
+        l1 + l2 = 2 mod p too (l3 is integral), so l1 = l2 = 1 and l3 != 1
+        mod p; the pair is re-paired as (l1, l3), which has a unit gap, and
+        xi is the Gauss point, W1;
       * a repelling multiplier exists: the pair is reordered so the
         repelling one comes first, xi sits at radius |l1| over center 0, and
         the residue of l2 decides W2 / W3 / W4 as it is a unit != 1 / 1 / 0.
-
-    The remaining combination (no repelling, l1*l2 - 1 in the maximal
-    ideal, residues not all 1) is outside the supported case tree for this
-    parameter ordering; it raises UnhandledResidueCaseError rather than
-    guess, and the caller can re-pair the multipliers so that the residue
-    product is not 1.
     """
     l1, l2 = Fraction(lambda1), Fraction(lambda2)
     if l1 * l2 == 1:
@@ -157,7 +147,7 @@ def predict_xi_distinct_fixed(lambda1: Rat, lambda2: Rat, ctx: PrimeCtx) -> Cruc
         elif tame_res == 1:
             strat = ReductionType(W3)
         else:
-            strat = ReductionType(W2, tame_res + residue_inverse(tame_res))
+            strat = ReductionType(W2, (tame_res + pow(tame_res, -1, ctx.p)) % ctx.p, ctx.p)
         return _complete_report(lift, xi, strat, ctx)
 
     lift = distinct_fixed_lift(l1, l2)
@@ -167,10 +157,7 @@ def predict_xi_distinct_fixed(lambda1: Rat, lambda2: Rat, ctx: PrimeCtx) -> Cruc
     if all(vp(lam - 1, ctx) > 0 for lam in (l1, l2, l3)):
         xi = TypeIIPoint(-1, Fraction(unit_gap, 2))
         return _complete_report(lift, xi, ReductionType(W1), ctx)
-    raise UnhandledResidueCaseError(
-        "no repelling multiplier, lambda1*lambda2 = 1 mod p, residues not all 1; "
-        "reorder the multiplier pair so that its residue product is not 1"
-    )
+    return _complete_report(distinct_fixed_lift(l1, l3), TypeIIPoint(0, 0), ReductionType(W1), ctx)
 
 
 def find_crucial_on_segment(lift: Lift, center: Rat, ctx: PrimeCtx) -> tuple:
@@ -226,7 +213,7 @@ def verify_consistency(lift: Lift, ctx: PrimeCtx, centers=None) -> ConsistencyRe
         else:
             report = predict_xi_distinct_fixed(form[1], form[2], ctx)
         context = {"lift": lift, "p": ctx.p, "sigma": sigma.as_tuple()}
-        if (strat_sigma.tag, strat_sigma.x_tilde) != (report.stratum.tag, report.stratum.x_tilde):
+        if strat_sigma != report.stratum:
             raise ConsistencyFailure(
                 f"sigma specialization gives {strat_sigma}, prediction gives {report.stratum}",
                 context,

@@ -37,8 +37,9 @@ class DegenerateMultipliersError(QuadberkError):
 
 
 class UnhandledResidueCaseError(QuadberkError):
-    """Multiplier data outside the supported case tree (no repelling
-    multiplier, product congruent to 1, residues not all 1)."""
+    """Multiplier data outside the supported case tree.  Nothing raises it
+    any more: the case it stood for (no repelling multiplier, product
+    congruent to 1, residues not all 1) is now answered by re-pairing."""
 
 
 class UnboundedProfileError(QuadberkError):

@@ -36,11 +36,6 @@ class SigmaInvariants:
                 f"sigma3 = {self.sigma3} != sigma1 - 2 = {self.sigma1 - 2}"
             )
 
-    @classmethod
-    def from_multipliers(cls, l1: Rat, l2: Rat, l3: Rat) -> "SigmaInvariants":
-        l1, l2, l3 = Fraction(l1), Fraction(l2), Fraction(l3)
-        return cls(l1 + l2 + l3, l1 * l2 + l1 * l3 + l2 * l3, l1 * l2 * l3)
-
     def as_tuple(self) -> tuple:
         return (self.sigma1, self.sigma2, self.sigma3)
 

@@ -2,8 +2,8 @@
 
 All quantities are exact: rationals are `fractions.Fraction`, valuations are
 integers (with ``INF`` standing in for the valuation of zero), and residue
-field elements are integers mod p carrying their prime context.  The sign
-convention is ord(x) = k where x = p^k * u for a p-unit u, so ord(1/p) = -1;
+field elements are plain ints in [0, p).  The sign convention is
+ord(x) = k where x = p^k * u for a p-unit u, so ord(1/p) = -1;
 the corresponding absolute value is |x| = p^(-ord(x)), i.e. larger valuation
 means p-adically smaller.
 """
@@ -68,9 +68,6 @@ class PrimeCtx:
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise ValueError(f"p = {self.p!r} is not a prime integer")
 
-    def residue(self, value: int) -> "ResidueElem":
-        return ResidueElem(value % self.p, self)
-
     def __repr__(self) -> str:
         return f"PrimeCtx({self.p})"
 
@@ -92,84 +89,15 @@ def vp(x: Rat, ctx: PrimeCtx):
     return _int_ord(f.numerator, ctx.p) - _int_ord(f.denominator, ctx.p)
 
 
-@dataclass(frozen=True)
-class ResidueElem:
-    """An element of F_p, stored as its canonical representative in [0, p)."""
-
-    value: int
-    ctx: PrimeCtx
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.ctx.p:
-            object.__setattr__(self, "value", self.value % self.ctx.p)
-
-    def _coerce(self, other) -> "ResidueElem":
-        if isinstance(other, ResidueElem):
-            if other.ctx.p != self.ctx.p:
-                raise ValueError("mixed residue characteristics")
-            return other
-        if isinstance(other, int):
-            return ResidueElem(other % self.ctx.p, self.ctx)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return ResidueElem((self.value + other.value) % self.ctx.p, self.ctx)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return ResidueElem((self.value - other.value) % self.ctx.p, self.ctx)
-
-    def __neg__(self):
-        return ResidueElem(-self.value % self.ctx.p, self.ctx)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return ResidueElem((self.value * other.value) % self.ctx.p, self.ctx)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "ResidueElem":
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 is not invertible in F_{self.ctx.p}")
-        return ResidueElem(pow(self.value, -1, self.ctx.p), self.ctx)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.ctx.p
-        if isinstance(other, ResidueElem):
-            return self.ctx.p == other.ctx.p and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.ctx.p))
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.ctx.p})"
-
-
-def reduce_residue(x: Rat, ctx: PrimeCtx) -> ResidueElem:
-    """Reduce x mod p, i.e. numerator * denominator^(-1) in F_p.
+def reduce_residue(x: Rat, ctx: PrimeCtx) -> int:
+    """Reduce x mod p: numerator * denominator^(-1), an int in [0, p).
 
     Requires vp(x) >= 0; a pole at p raises NegativeValuationError.
     """
     f = Fraction(x)
     if f != 0 and vp(f, ctx) < 0:
         raise NegativeValuationError(f"{f} has negative {ctx.p}-adic valuation")
-    num = f.numerator % ctx.p
-    den_inv = pow(f.denominator % ctx.p, -1, ctx.p)
-    return ResidueElem(num * den_inv % ctx.p, ctx)
-
-
-def residue_inverse(x: ResidueElem) -> ResidueElem:
-    """Multiplicative inverse in F_p; raises ZeroDivisionError on 0."""
-    return x.inverse()
+    return f.numerator % ctx.p * pow(f.denominator, -1, ctx.p) % ctx.p
 
 
 @dataclass(frozen=True)

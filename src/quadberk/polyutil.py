@@ -53,17 +53,6 @@ def scale(p: list, c) -> list:
     return [a * c for a in p]
 
 
-def evaluate(p: list, x) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def derivative(p: list) -> list:
-    return trim([i * c for i, c in enumerate(p)][1:])
-
-
 def divmod_exact(p: list, q: list) -> tuple:
     """Euclidean division over Q."""
     if not q:
@@ -93,14 +82,6 @@ def gcd(p: list, q: list) -> list:
         lead = a[-1]
         a = [c / lead for c in a]
     return a
-
-
-def from_roots(roots) -> list:
-    """Monic polynomial with the given roots (with multiplicity)."""
-    p = [Fraction(1)]
-    for r in roots:
-        p = mul(p, [-Fraction(r), Fraction(1)])
-    return p
 
 
 def exact_det(rows: list) -> Fraction:

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import InternalInvariantError, NonIntegralRadiusError, QuadberkError
-from .padic import PrimeCtx, ResidueElem, reduce_residue
+from .padic import PrimeCtx, reduce_residue
 from .quadmap import Lift, Mobius, TypeIIPoint, conjugate, normalize
 
 
@@ -30,18 +30,21 @@ class ResidueKind(Enum):
 @dataclass(frozen=True)
 class ResidueClass:
     """Classification of a residue map; multiplicative carries x = c + 1/c
-    for the eigenvalue ratio c (an F_p quantity even when c lives in F_p^2)."""
+    in [0, p) for the eigenvalue ratio c (an F_p quantity even when c lives
+    in F_p^2), together with its prime p."""
 
     kind: ResidueKind
-    x_tilde: ResidueElem | None = None
+    x_tilde: int | None = None
+    p: int | None = None
 
     def __post_init__(self):
-        if (self.kind is ResidueKind.MULTIPLICATIVE) != (self.x_tilde is not None):
-            raise QuadberkError("x_tilde is carried exactly by the multiplicative kind")
+        multiplicative = self.kind is ResidueKind.MULTIPLICATIVE
+        if multiplicative != (self.x_tilde is not None) or (self.x_tilde is None) != (self.p is None):
+            raise QuadberkError("x_tilde and p are carried exactly by the multiplicative kind")
 
     def __repr__(self) -> str:
         if self.x_tilde is not None:
-            return f"{self.kind.value}(x_tilde={self.x_tilde.value} mod {self.x_tilde.ctx.p})"
+            return f"{self.kind.value}(x_tilde={self.x_tilde} mod {self.p})"
         return self.kind.value
 
 
@@ -131,8 +134,8 @@ def reduce_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> ResidueMap:
     m = int(point.radius_exp)
     gamma = Mobius.affine(Fraction(ctx.p) ** m, point.center)
     normalized, _ = normalize(conjugate(lift, gamma), ctx)
-    fbar = tuple(reduce_residue(c, ctx).value for c in normalized.f_coeffs)
-    gbar = tuple(reduce_residue(c, ctx).value for c in normalized.g_coeffs)
+    fbar = tuple(reduce_residue(c, ctx) for c in normalized.f_coeffs)
+    gbar = tuple(reduce_residue(c, ctx) for c in normalized.g_coeffs)
     f_univ, fy = _dehomogenize(fbar)
     g_univ, gy = _dehomogenize(gbar)
     if not f_univ:
@@ -179,5 +182,5 @@ def classify_residue(residue: ResidueMap) -> ResidueClass:
     det = (alpha * delta - beta * gamma) % p
     if (tr * tr - 4 * det) % p == 0:
         return ResidueClass(ResidueKind.ADDITIVE)
-    x_tilde = residue.ctx.residue(tr * tr * pow(det, -1, p) - 2)
-    return ResidueClass(ResidueKind.MULTIPLICATIVE, x_tilde)
+    x_tilde = (tr * tr * pow(det, -1, p) - 2) % p
+    return ResidueClass(ResidueKind.MULTIPLICATIVE, x_tilde, p)

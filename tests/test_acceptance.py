@@ -83,7 +83,7 @@ def test_criterion_1_stratification():
             assert report.stratum.x_tilde == report.residue_class.x_tilde
         if kind == "Bi":
             # payload equals lambda2 + 1/lambda2 mod p, recomputed from raw ints
-            lam2 = reduce_residue(report.lift.b1 / report.lift.a0, ctx).value
+            lam2 = reduce_residue(report.lift.b1 / report.lift.a0, ctx)
             expected = (lam2 + exhaustive_inverse(lam2, ctx.p)) % ctx.p
             assert report.stratum.tag == "W2"
             assert report.stratum.x_tilde == expected

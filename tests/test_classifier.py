@@ -30,17 +30,17 @@ def test_specialize_examples():
     # oracle: scale by 25 -> (74, 73, 25) = (4, 3, 0) mod 5, then divide by 4
     inv4 = exhaustive_inverse(4, 5)
     assert (1, 3 * inv4 % 5, 0) == (1, 2, 0)
-    assert specialize(SIG_W3, P5).coordinates() == (1, 2, 0)
+    assert specialize(SIG_W3, P5) == (1, 2, 0)
     # scale by 3 -> (4, -5, 3) = (1, 1, 0) mod 3
-    assert specialize(SIG_W2, P3).coordinates() == (1, 1, 0)
+    assert specialize(SIG_W2, P3) == (1, 1, 0)
     # both sigmas integral: an affine point
-    point = specialize(SIG_W1, PrimeCtx(7)).coordinates()
+    point = specialize(SIG_W1, PrimeCtx(7))
     assert point == (1, 0, exhaustive_inverse(2, 7))
 
 
 def test_specialize_w4():
     # scale by 27 -> (39, -131, 27) = (0, 1, 0) mod 3
-    assert specialize(SIG_W4, P3).coordinates() == (0, 1, 0)
+    assert specialize(SIG_W4, P3) == (0, 1, 0)
 
 
 def test_stratum_examples():
@@ -58,7 +58,28 @@ def test_reduction_type_validation():
     with pytest.raises(QuadberkError):
         ReductionType("W2")  # missing payload
     with pytest.raises(QuadberkError):
-        ReductionType("W2", P5.residue(2))  # payload 2 is the W3 point
+        ReductionType("W2", 2, 5)  # payload 2 is the W3 point
+    with pytest.raises(QuadberkError):
+        ReductionType("W2", 1)  # payload without its prime
+    with pytest.raises(QuadberkError):
+        ReductionType("W1", None, 5)  # prime without a payload
+
+
+def test_p2_boundary():
+    # the W3 point [1 : 2 : 0] is [1 : 0 : 0] over F_2: payload 2 = 0 mod 2
+    with pytest.raises(QuadberkError):
+        ReductionType("W2", 0, 2)
+    # sigmas of (z^2 + z/2)/(3z + 1): scale by 2 -> (13, 24, 2) = (1, 0, 0) mod 2
+    sig = SigmaInvariants(Fraction(13, 2), 12, Fraction(9, 2))
+    assert specialize(sig, PrimeCtx(2)) == (1, 0, 0)
+    assert stratum(sig, PrimeCtx(2)) == ReductionType("W3")
+
+
+def test_w2_payload_zero_accepted():
+    # at p = 5, lambda = 2 gives lambda + 1/lambda = 2 + 3 = 0 mod 5
+    st = stratum(SigmaInvariants(Fraction(28, 15), Fraction(-1, 3), Fraction(-2, 15)), P5)
+    assert st == ReductionType("W2", 0, 5)
+    assert repr(st) == "W2(x_tilde=0 mod 5)"
 
 
 def test_multiplier_valuations_examples():
@@ -105,7 +126,7 @@ def test_partition_property():
         )
         ctx = PrimeCtx(rng.choice((2, 3, 5, 7, 13)))
         st = stratum(sig, ctx)
-        point = specialize(sig, ctx).coordinates()
+        point = specialize(sig, ctx)
         # re-derive the region straight from the specialized point
         if point[2] != 0:
             assert st.tag == "W1"
@@ -156,8 +177,7 @@ def test_w2_payload_matches_residue_formula():
             st = stratum(sig, ctx)
             assert st.tag == "W2"
             # oracle: raw modular arithmetic for lambda + 1/lambda
-            lam = lam2_bar.value
-            expected = (lam + exhaustive_inverse(lam, p)) % p
+            expected = (lam2_bar + exhaustive_inverse(lam2_bar, p)) % p
             assert st.x_tilde == expected
 
 

@@ -251,3 +251,43 @@ def test_cli_prime_beyond_primality_bound(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "too large" in captured.err
+
+
+def test_cli_verify_gap_case(capsys):
+    # no repelling multiplier, l1*l2 = 1 mod 5, residues (1, 1, 0)
+    code, payload = _run_json(capsys, ["verify", "-p", "5", "--map", "(z^2+6z)/(121z+1)", "--json"])
+    assert code == 0
+    assert payload["stratum"] == "W1" and payload["xi"] == {"center": "0", "rexp": "0"}
+
+
+def test_cli_w2_payload_zero(capsys):
+    # lambda2 = 2 at p = 5: x_tilde = 2 + 1/2 = 0 mod 5 is a real payload
+    code, payload = _run_json(capsys, ["verify", "-p", "5", "--map", "(z^2 + 1/5*z)/(2z+1)", "--json"])
+    assert code == 0
+    assert payload["stratum"] == "W2" and payload["x_tilde"] == "0"
+    assert payload["residue_x_tilde"] == "0"
+
+
+M5 = ["--map", "z + 1/5 + 1/z"]
+
+
+@pytest.mark.parametrize("head, option, value, tail", [
+    (["sweep", "-p", "5", "--form", "A"], "--l1", "-2:2:1/2", []),
+    (["sweep", "-p", "5", "--form", "B", "--l1", "1/5"], "--l2", "-1/3", []),
+    (["ordres", "-p", "5", *M5], "--center", "-1/2", []),
+    (["reduce-at", "-p", "5", *M5], "--center", "-1/2", ["--rexp", "-1"]),
+    (["find-crucial", "-p", "5", *M5], "--center", "-1/2", []),
+    (["verify", "-p", "7", "--map", "z^2 + 1"], "--center", "-1/2", ["--center", "0"]),
+])
+def test_cli_negative_option_values(capsys, head, option, value, tail):
+    # "--opt -1/2" parses exactly as "--opt=-1/2"
+    assert run(head + [f"{option}={value}"] + tail + ["--json"]) == 0
+    expected = capsys.readouterr().out
+    assert run(head + [option, value] + tail + ["--json"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_cli_missing_option_value(capsys):
+    assert run(["verify", "-p", "5", "--map"]) == 1
+    err = capsys.readouterr().err
+    assert "expected one argument" in err and "Traceback" not in err

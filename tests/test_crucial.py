@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from quadberk import (
     ConsistencyFailure,
     DegenerateMultipliersError,
@@ -10,16 +12,17 @@ from quadberk import (
     PrimeCtx,
     ResidueKind,
     TypeIIPoint,
-    UnhandledResidueCaseError,
     conjugate,
     distinct_fixed_lift,
     find_crucial_on_segment,
     identify_normal_form,
+    lambda3_from,
     multiple_fixed_lift,
     ord_res_at,
     predict_xi_distinct_fixed,
     predict_xi_multiple_fixed,
     verify_consistency,
+    vp,
 )
 from _support import rand_unit
 
@@ -81,11 +84,43 @@ def test_predict_distinct_degenerate_pair():
         predict_xi_distinct_fixed(2, Fraction(1, 2), P5)
 
 
-def test_predict_distinct_unhandled_case():
-    # residues (1, 1, 0) with l1*l2 = 1 mod p: no rational normal form with
-    # these slots; the case tree must refuse rather than guess
-    with pytest.raises(UnhandledResidueCaseError):
-        predict_xi_distinct_fixed(6, 121, P5)
+def test_predict_distinct_repairs_unit_product():
+    # residues (1, 1, 0) with l1*l2 = 1 mod p and no repelling multiplier:
+    # re-paired as (l1, l3) = (6, 5/29), whose product is 1 + a unit mod 5
+    report = predict_xi_distinct_fixed(6, 121, P5)
+    assert report.lift == distinct_fixed_lift(6, Fraction(5, 29))
+    assert report.xi == TypeIIPoint(0, 0)
+    assert report.stratum.tag == "W1"
+    assert report.residue_class.kind is ResidueKind.REPELLING
+    assert report.min_ord_res == 0
+    # every map of this case verifies as W1 at the Gauss point
+    rng = random.Random(0x6A9)
+    for p in (2, 3, 5, 7):
+        ctx, found = PrimeCtx(p), 0
+        while found < 25:
+            l1, l2 = (1 + Fraction(p) ** rng.randint(1, 2) * rand_unit(rng, p) for _ in range(2))
+            if l1 * l2 == 1 or vp(lambda3_from(l1, l2), ctx) < 0 or vp(lambda3_from(l1, l2) - 1, ctx) > 0:
+                continue
+            report = verify_consistency(distinct_fixed_lift(l1, l2), ctx)
+            assert (report.stratum.tag, report.xi, report.min_ord_res) == ("W1", TypeIIPoint(0, 0), 0)
+            found += 1
+
+
+@st.composite
+def _multiplier(draw, p):
+    """0 or 1 plus p^e times a small rational, so that residues 0 and 1 and
+    every valuation band are drawn often."""
+    scale = Fraction(p) ** draw(st.integers(-2, 2))
+    return draw(st.sampled_from((0, 1))) + scale * draw(st.fractions(-20, 20, max_denominator=20))
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_verify_distinct_form_is_total(data):
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    l1, l2 = data.draw(_multiplier(p)), data.draw(_multiplier(p))
+    assume(l1 * l2 != 1)
+    verify_consistency(distinct_fixed_lift(l1, l2), PrimeCtx(p))
 
 
 def test_predict_reorders_repelling_pair():
