@@ -16,26 +16,24 @@ are read off the Newton polygon of T^3 - sigma1*T^2 + sigma2*T - sigma3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import QuadberkError
 from .invariants import SigmaInvariants
 from .padic import INF, PrimeCtx, newton_slopes, reduce_residue, vp
+from .value import Value
 
 W1, W2, W3, W4 = "W1", "W2", "W3", "W4"
 
 
-@dataclass(frozen=True)
-class ReductionType:
+class ReductionType(Value):
     """One of the four strata; W2 carries the payload x in [0, p), never
     2 mod p, together with its prime p."""
 
-    tag: str
-    x_tilde: int | None = None
-    p: int | None = None
+    __slots__ = ("tag", "x_tilde", "p")
 
-    def __post_init__(self):
+    def __init__(self, tag: str, x_tilde: int | None = None, p: int | None = None):
+        super().__init__(tag, x_tilde, p)
         if self.tag not in (W1, W2, W3, W4):
             raise QuadberkError(f"unknown stratum tag {self.tag!r}")
         if (self.tag == W2) != (self.x_tilde is not None) or (self.x_tilde is None) != (self.p is None):

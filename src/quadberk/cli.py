@@ -321,16 +321,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: options whose value is a rational or a range of rationals
-_RATIONAL_OPTIONS = ("--center", "--rexp", "--l1", "--l2")
+#: options whose value is a map, a rational or a range of rationals
+_VALUE_OPTIONS = ("--map", "--center", "--rexp", "--l1", "--l2")
 
 
 def _attach_negative_values(argv: list) -> list:
-    """Write "--l1 -2:2:1/2" as "--l1=-2:2:1/2": argparse reads a value such
-    as -1/2 or -2:2 that follows an option as an option of its own."""
+    """Write "--l1 -2:2:1/2" as "--l1=-2:2:1/2" and "--map -z^2+1" as
+    "--map=-z^2+1": argparse reads a value such as -1/2, -2:2 or -(z+1)
+    that follows an option as an option of its own.  No option of the
+    parser starts with "-" and a digit, "z" or "("."""
     out = []
     for token in argv:
-        if out and out[-1] in _RATIONAL_OPTIONS and token[:1] == "-" and token[1:2].isdigit():
+        head = token[1:2]
+        if out and out[-1] in _VALUE_OPTIONS and token[:1] == "-" and (head.isdigit() or head in ("z", "(")):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)

@@ -15,12 +15,11 @@ residue classification and profile minimization all agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .classifier import W1, W2, W3, W4, ReductionType, stratum
 from .errors import ConsistencyFailure, DegenerateMultipliersError, NotNormalFormError
-from .invariants import SigmaInvariants, lambda3_from, sigma_invariants
+from .invariants import lambda3_from, sigma_invariants
 from .padic import PrimeCtx, Rat, reduce_residue, vp
 from .quadmap import (
     Lift,
@@ -29,6 +28,7 @@ from .quadmap import (
     ord_res_profile,
 )
 from .reduction import ResidueClass, ResidueKind, classify_residue, reduce_at
+from .value import Value
 
 #: stratum tag <-> residue kind dictated by the stratification
 STRATUM_TO_RESIDUE = {
@@ -49,8 +49,7 @@ def distinct_fixed_lift(lambda1: Rat, lambda2: Rat) -> Lift:
     return Lift(1, Fraction(lambda1), 0, 0, Fraction(lambda2), 1)
 
 
-@dataclass(frozen=True)
-class CrucialReport:
+class CrucialReport(Value):
     """Everything known about xi for one map.
 
     ``lift`` is the normal form the numbers refer to (the multiplier pair
@@ -60,12 +59,7 @@ class CrucialReport:
     radius exponent).
     """
 
-    xi: TypeIIPoint
-    stratum: ReductionType
-    residue_class: ResidueClass | None
-    residue_unavailable: str | None
-    min_ord_res: Fraction
-    lift: Lift
+    __slots__ = ("xi", "stratum", "residue_class", "residue_unavailable", "min_ord_res", "lift")
 
 
 def _check_stratum_residue(strat: ReductionType, rc: ResidueClass, context: dict) -> None:
@@ -178,18 +172,12 @@ def identify_normal_form(lift: Lift):
     return None
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Successful end-to-end verification of one map."""
+class ConsistencyReport(Value):
+    """Successful end-to-end verification of one map: the fields of
+    CrucialReport, plus ``consistent`` and the map's SigmaInvariants."""
 
-    consistent: bool
-    xi: TypeIIPoint
-    stratum: ReductionType
-    residue_class: ResidueClass | None
-    residue_unavailable: str | None
-    min_ord_res: Fraction
-    sigma: SigmaInvariants
-    lift: Lift
+    __slots__ = ("consistent", "xi", "stratum", "residue_class", "residue_unavailable",
+                 "min_ord_res", "sigma", "lift")
 
 
 def verify_consistency(lift: Lift, ctx: PrimeCtx, centers=None) -> ConsistencyReport:

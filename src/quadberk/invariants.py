@@ -11,26 +11,22 @@ result type and doubles as an internal cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polyutil
 from .errors import DegenerateMultipliersError, InternalInvariantError
 from .padic import Rat
 from .quadmap import Lift, Mobius, conjugate
+from .value import Value
 
 
-@dataclass(frozen=True)
-class SigmaInvariants:
+class SigmaInvariants(Value):
     """Elementary symmetric functions of the fixed-point multipliers."""
 
-    sigma1: Fraction
-    sigma2: Fraction
-    sigma3: Fraction
+    __slots__ = ("sigma1", "sigma2", "sigma3")
 
-    def __post_init__(self):
-        for name in ("sigma1", "sigma2", "sigma3"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, sigma1: Rat, sigma2: Rat, sigma3: Rat):
+        super().__init__(*map(Fraction, (sigma1, sigma2, sigma3)))
         if self.sigma3 != self.sigma1 - 2:
             raise InternalInvariantError(
                 f"sigma3 = {self.sigma3} != sigma1 - 2 = {self.sigma1 - 2}"
@@ -44,22 +40,17 @@ class SigmaInvariants:
         return [Fraction(1), -self.sigma1, self.sigma2, -self.sigma3]
 
 
-@dataclass(frozen=True)
-class FixedPointPoly:
+class FixedPointPoly(Value):
     """P(z) = F(z,1) - z*G(z,1), whose roots are the finite fixed points.
 
     Degree 3 exactly when infinity is not fixed; a degree drop records
     fixed points at infinity with multiplicity.
     """
 
-    c3: Fraction
-    c2: Fraction
-    c1: Fraction
-    c0: Fraction
+    __slots__ = ("c3", "c2", "c1", "c0")
 
-    def __post_init__(self):
-        for name in ("c3", "c2", "c1", "c0"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, c3: Rat, c2: Rat, c1: Rat, c0: Rat):
+        super().__init__(*map(Fraction, (c3, c2, c1, c0)))
 
     def coefficients(self) -> tuple:
         """Leading-first: (c3, c2, c1, c0)."""

@@ -11,17 +11,16 @@ means p-adically smaller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
 
 from .errors import NegativeValuationError, ZeroConstantError, ZeroLeadingError
+from .value import Value
 
 #: Formal valuation of zero.  A float sentinel: it orders correctly against
 #: any finite (integer or Fraction) valuation, which is all we need.
 INF = math.inf
 
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 
 
 #: The first 13 primes.  Miller-Rabin with these bases decides primality
@@ -58,15 +57,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeCtx:
+class PrimeCtx(Value):
     """A prime p, fixing the valuation on Q and the residue field F_p."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not isinstance(self.p, int) or not _is_prime(self.p):
-            raise ValueError(f"p = {self.p!r} is not a prime integer")
+    def __init__(self, p: int):
+        if not isinstance(p, int) or not _is_prime(p):
+            raise ValueError(f"p = {p!r} is not a prime integer")
+        super().__init__(p)
 
     def __repr__(self) -> str:
         return f"PrimeCtx({self.p})"
@@ -100,12 +99,11 @@ def reduce_residue(x: Rat, ctx: PrimeCtx) -> int:
     return f.numerator % ctx.p * pow(f.denominator, -1, ctx.p) % ctx.p
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(Value):
     """Lower-hull slopes of a polynomial, listed nondecreasing with
     multiplicity (one entry per root)."""
 
-    slopes: tuple
+    __slots__ = ("slopes",)
 
     def root_valuations(self) -> tuple:
         """Valuations of the roots in an algebraic closure: the negated
@@ -113,7 +111,7 @@ class NewtonPolygon:
         return tuple(sorted(-s for s in self.slopes))
 
 
-def newton_slopes(coeffs: Sequence[Rat], ctx: PrimeCtx) -> NewtonPolygon:
+def newton_slopes(coeffs: list, ctx: PrimeCtx) -> NewtonPolygon:
     """Newton polygon of a polynomial given by coefficients leading-first.
 
     ``coeffs = [c_n, ..., c_1, c_0]`` describes c_n*T^n + ... + c_0.  Both

@@ -3,9 +3,10 @@
 Accepted grammar: integer and fraction literals (``a/b``), the variable
 ``z``, operators ``+ - * / ^`` with the usual precedence, parentheses, and
 implicit multiplication (``3z``, ``2(z+1)``).  Exponents must be
-nonnegative integer literals.  The expression is expanded into a single
-rational function, the polynomial gcd of numerator and denominator is
-cancelled, and the result must have degree exactly 2.
+nonnegative integer literals; parentheses nest at most 100 deep.  The
+expression is expanded into a single rational function, the polynomial gcd
+of numerator and denominator is cancelled, and the result must have degree
+exactly 2.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .errors import DegreeError, MapSyntaxError
 from .quadmap import Lift
 
 _MAX_DEGREE = 16  # intermediate blow-up guard
+_MAX_NESTING = 100  # parenthesis depth; each level costs five Python frames
 
 
 class _Token:
@@ -114,6 +116,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -154,13 +157,11 @@ class _Parser:
                 return value
 
     def unary(self) -> _RationalFunction:
-        if self.peek().kind == "-":
-            self.advance()
-            return self.unary().neg()
-        if self.peek().kind == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
+        negate = False
+        while self.peek().kind in ("+", "-"):
+            negate ^= self.advance().kind == "-"
+        value = self.power()
+        return value.neg() if negate else value
 
     def power(self) -> _RationalFunction:
         base = self.atom()
@@ -182,7 +183,11 @@ class _Parser:
         if tok.kind == "z":
             return _RationalFunction.variable()
         if tok.kind == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise MapSyntaxError("parentheses nested too deeply", tok.pos)
             value = self.expression()
+            self.depth -= 1
             closing = self.advance()
             if closing.kind != ")":
                 raise MapSyntaxError("expected ')'", closing.pos)

@@ -20,7 +20,6 @@ rational m, half-integers included.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -32,6 +31,7 @@ from .errors import (
     UnboundedProfileError,
 )
 from .padic import PrimeCtx, Rat, vp
+from .value import Value
 
 
 def _integral(coeffs) -> tuple:
@@ -56,20 +56,13 @@ def resultant_forms(f: tuple, g: tuple) -> Fraction:
     return Fraction(res, L**4)
 
 
-@dataclass(frozen=True)
-class Lift:
+class Lift(Value):
     """Homogeneous degree-2 lift [F, G] of a quadratic rational map."""
 
-    a0: Fraction
-    a1: Fraction
-    a2: Fraction
-    b0: Fraction
-    b1: Fraction
-    b2: Fraction
+    __slots__ = ("a0", "a1", "a2", "b0", "b1", "b2")
 
-    def __post_init__(self):
-        for name in ("a0", "a1", "a2", "b0", "b1", "b2"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, a0: Rat, a1: Rat, a2: Rat, b0: Rat, b1: Rat, b2: Rat):
+        super().__init__(*map(Fraction, (a0, a1, a2, b0, b1, b2)))
         if resultant_forms(self.f_coeffs, self.g_coeffs) == 0:
             raise DegenerateMapError(
                 f"lift {self.coeffs} has resultant 0 (degenerate map)"
@@ -106,18 +99,13 @@ class Lift:
         return f"Lift(F=({self.a0}, {self.a1}, {self.a2}), G=({self.b0}, {self.b1}, {self.b2}))"
 
 
-@dataclass(frozen=True)
-class Mobius:
+class Mobius(Value):
     """Invertible matrix (A B; C D) acting as z -> (Az + B)/(Cz + D)."""
 
-    A: Fraction
-    B: Fraction
-    C: Fraction
-    D: Fraction
+    __slots__ = ("A", "B", "C", "D")
 
-    def __post_init__(self):
-        for name in ("A", "B", "C", "D"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, A: Rat, B: Rat, C: Rat, D: Rat):
+        super().__init__(*map(Fraction, (A, B, C, D)))
         if self.det == 0:
             raise SingularMatrixError(f"matrix {self} has determinant 0")
 
@@ -138,16 +126,13 @@ class Mobius:
         return cls(scale_by, shift, 0, 1)
 
 
-@dataclass(frozen=True)
-class TypeIIPoint:
+class TypeIIPoint(Value):
     """The point zeta_{D(center, p^(-radius_exp))} in the affine chart."""
 
-    center: Fraction
-    radius_exp: Fraction
+    __slots__ = ("center", "radius_exp")
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", Fraction(self.center))
-        object.__setattr__(self, "radius_exp", Fraction(self.radius_exp))
+    def __init__(self, center: Rat, radius_exp: Rat):
+        super().__init__(Fraction(center), Fraction(radius_exp))
 
     @property
     def is_integral(self) -> bool:
@@ -204,8 +189,7 @@ def conjugate(lift: Lift, g: Mobius) -> Lift:
     return Lift(*new_f, *new_g)
 
 
-@dataclass(frozen=True)
-class PLFunction:
+class PLFunction(Value):
     """Convex piecewise-affine function of one rational variable.
 
     Piece i is m -> slopes[i]*m + intercepts[i], valid between
@@ -213,11 +197,10 @@ class PLFunction:
     adjacent pieces agree at their shared breakpoint.
     """
 
-    slopes: tuple
-    intercepts: tuple
-    breakpoints: tuple
+    __slots__ = ("slopes", "intercepts", "breakpoints")
 
-    def __post_init__(self):
+    def __init__(self, slopes: tuple, intercepts: tuple, breakpoints: tuple):
+        super().__init__(slopes, intercepts, breakpoints)
         if len(self.slopes) != len(self.intercepts):
             raise ValueError("slopes/intercepts length mismatch")
         if len(self.breakpoints) != len(self.slopes) - 1:

@@ -10,13 +10,13 @@ split further into multiplicative, additive and identity types by their
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import InternalInvariantError, NonIntegralRadiusError, QuadberkError
 from .padic import PrimeCtx, reduce_residue
 from .quadmap import Lift, Mobius, TypeIIPoint, conjugate, normalize
+from .value import Value
 
 
 class ResidueKind(Enum):
@@ -27,17 +27,15 @@ class ResidueKind(Enum):
     MOVED = "MovedConstant"
 
 
-@dataclass(frozen=True)
-class ResidueClass:
+class ResidueClass(Value):
     """Classification of a residue map; multiplicative carries x = c + 1/c
     in [0, p) for the eigenvalue ratio c (an F_p quantity even when c lives
     in F_p^2), together with its prime p."""
 
-    kind: ResidueKind
-    x_tilde: int | None = None
-    p: int | None = None
+    __slots__ = ("kind", "x_tilde", "p")
 
-    def __post_init__(self):
+    def __init__(self, kind: ResidueKind, x_tilde: int | None = None, p: int | None = None):
+        super().__init__(kind, x_tilde, p)
         multiplicative = self.kind is ResidueKind.MULTIPLICATIVE
         if multiplicative != (self.x_tilde is not None) or (self.x_tilde is None) != (self.p is None):
             raise QuadberkError("x_tilde and p are carried exactly by the multiplicative kind")
@@ -85,16 +83,14 @@ def _gcd_p(f: list, g: list, p: int) -> list:
     return a
 
 
-@dataclass(frozen=True)
-class ResidueMap:
+class ResidueMap(Value):
     """Pair of coprime homogeneous forms over F_p, coefficients leading-first
     in X; both forms have homogeneous degree = len - 1."""
 
-    ftilde: tuple
-    gtilde: tuple
-    ctx: PrimeCtx
+    __slots__ = ("ftilde", "gtilde", "ctx")
 
-    def __post_init__(self):
+    def __init__(self, ftilde: tuple, gtilde: tuple, ctx: PrimeCtx):
+        super().__init__(ftilde, gtilde, ctx)
         if len(self.ftilde) != len(self.gtilde):
             raise QuadberkError("residue forms must share a degree")
         if not any(self.ftilde) and not any(self.gtilde):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -6,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from quadberk import (
     DegreeError,
     Lift,
@@ -49,6 +53,17 @@ def test_parse_map_cancellation():
 def test_parse_map_implicit_multiplication():
     assert parse_map("2z^2") == parse_map("2*z^2")
     assert parse_map("(z+1)(z+2)/(z)") == parse_map("(z^2 + 3z + 2)/z")
+
+
+def test_parse_map_deep_nesting():
+    # nesting is bounded before Python's recursion limit; sign runs are a loop
+    assert parse_map("(" * 100 + "z^2 + 1" + ")" * 100) == parse_map("z^2 + 1")
+    with pytest.raises(MapSyntaxError):
+        parse_map("(" * 101 + "z^2 + 1" + ")" * 101)
+    with pytest.raises(MapSyntaxError):
+        parse_map("(" * 5000)
+    assert parse_map("-" * 5000 + "z^2 + 1") == parse_map("z^2 + 1")
+    assert parse_map("-+-z^2 - 1") == parse_map("z^2 - 1")
 
 
 def test_round_trip_random_lifts():
@@ -291,3 +306,50 @@ def test_cli_missing_option_value(capsys):
     assert run(["verify", "-p", "5", "--map"]) == 1
     err = capsys.readouterr().err
     assert "expected one argument" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, sigmas", [
+    ("-z^2+1", ("2", "-4", "0")),
+    ("-(z^2+1)/z", ("-7", "15", "-9")),
+])
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_cli_map_with_leading_minus(capsys, text, sigmas, fmt):
+    # "--map -z^2+1" parses exactly as "--map=-z^2+1"
+    assert run(["classify", "-p", "5", f"--map={text}", *fmt]) == 0
+    expected = capsys.readouterr().out
+    assert run(["classify", "-p", "5", "--map", text, *fmt]) == 0
+    out = capsys.readouterr().out
+    assert out == expected
+    if fmt:
+        payload = json.loads(out)
+        assert (payload["sigma1"], payload["sigma2"], payload["sigma3"]) == sigmas
+    else:
+        assert f"sigma1: {sigmas[0]}" in out
+
+
+#: literals at the edges of the grammar and of Python's int conversion
+EXTREME_MAPS = [
+    "9^16", "9^16 z^2 + 1/z", "z^17", "(z + 1)^16/z^15", "7" * 5000, "z^2 + " + "3" * 5000 + "/z",
+    "z^2 + " + "3" * 4000 + "z + 1", "(" * 500 + "z", "z^2 + 1)", "((z^2 + 1)", ")(", "-", "--", "-(",
+    "^", "z^", "z^-1", "/", "1/0", "z^2/(z - z)", "", " ", "-z^2+1", "-(z^2+1)/z", "z + 1/5 + 1/z",
+]
+map_texts = st.one_of(
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=30),
+    st.sampled_from(EXTREME_MAPS),
+    st.lists(st.sampled_from(EXTREME_MAPS + ["z", "z^2", "1/5", "+", "-", "*", "/", "(", ")", "^2"]),
+             max_size=6).map("".join),
+)
+primes = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 4, 5, 9, 561, -5, 2**61 - 1, 2**89 - 1]), st.integers(-20, 200)
+).map(str)
+
+
+@given(st.sampled_from(["classify", "invariants", "verify", "ordres", "reduce-at", "profile", "find-crucial"]),
+       primes, map_texts, st.booleans())
+@settings(max_examples=200, deadline=5000)
+def test_cli_never_raises(command, p, text, as_json):
+    argv = [command, "-p", p, "--map", text] + (["--json"] if as_json else [])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -1,0 +1,171 @@
+"""Value semantics of the package's immutable data types, and the import
+footprint they leave.
+
+Every data type is an immutable ``__slots__`` object: equal fields make
+equal values with equal hashes, a value never equals an instance of
+another class or a plain tuple, no attribute can be set or deleted, and
+the repr is pinned because ``ConsistencyFailure`` dumps print it.
+"""
+
+import copy
+import pickle
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+from quadberk import (
+    ConsistencyReport,
+    CrucialReport,
+    Lift,
+    Mobius,
+    PLFunction,
+    PrimeCtx,
+    ReductionType,
+    ResidueClass,
+    ResidueKind,
+    ResidueMap,
+    SigmaInvariants,
+    TypeIIPoint,
+    distinct_fixed_lift,
+    fixed_point_poly,
+    gauss_point,
+    newton_slopes,
+    predict_xi_multiple_fixed,
+    reduce_at,
+    verify_consistency,
+)
+from quadberk.invariants import FixedPointPoly
+from quadberk.padic import NewtonPolygon
+from quadberk.value import Value
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+P5 = PrimeCtx(5)
+M5 = Lift(1, F(1, 5), 1, 0, 1, 0)  # z + 1/5 + 1/z
+
+# (factory, pinned repr); each factory builds a fresh value on every call
+CASES = [
+    (lambda: Lift(1, F(1, 5), 1, 0, 1, 0), "Lift(F=(1, 1/5, 1), G=(0, 1, 0))"),
+    (lambda: Mobius(2, F(1, 3), 0, 1),
+     "Mobius(A=Fraction(2, 1), B=Fraction(1, 3), C=Fraction(0, 1), D=Fraction(1, 1))"),
+    (lambda: TypeIIPoint(F(-1, 2), 3), "TypeIIPoint(center=-1/2, radius_exp=3)"),
+    (lambda: PLFunction.upper_envelope([(-2, 0), (2, 1)]),
+     "PLFunction(slopes=(Fraction(-2, 1), Fraction(2, 1)), intercepts=(Fraction(0, 1), "
+     "Fraction(1, 1)), breakpoints=(Fraction(-1, 4),))"),
+    (lambda: SigmaInvariants(F(74, 25), F(3, 7), F(24, 25)),
+     "SigmaInvariants(sigma1=Fraction(74, 25), sigma2=Fraction(3, 7), sigma3=Fraction(24, 25))"),
+    (lambda: fixed_point_poly(M5),
+     "FixedPointPoly(c3=Fraction(0, 1), c2=Fraction(0, 1), c1=Fraction(1, 5), c0=Fraction(1, 1))"),
+    (lambda: PrimeCtx(5), "PrimeCtx(5)"),
+    (lambda: newton_slopes([1, 5, F(1, 25)], P5),
+     "NewtonPolygon(slopes=(Fraction(1, 1), Fraction(1, 1)))"),
+    (lambda: ReductionType("W1"), "W1"),
+    (lambda: ReductionType("W2", 1, 3), "W2(x_tilde=1 mod 3)"),
+    (lambda: ResidueClass(ResidueKind.REPELLING), "Repelling"),
+    (lambda: ResidueClass(ResidueKind.MULTIPLICATIVE, 0, 5), "MultiplicativeIndifferent(x_tilde=0 mod 5)"),
+    (lambda: reduce_at(M5, gauss_point(), P5), "ResidueMap(ftilde=(1,), gtilde=(0,), ctx=PrimeCtx(5))"),
+    (lambda: predict_xi_multiple_fixed(F(1, 5), P5),
+     "CrucialReport(xi=TypeIIPoint(center=0, radius_exp=-1), stratum=W3, "
+     "residue_class=AdditiveIndifferent, residue_unavailable=None, min_ord_res=Fraction(2, 1), "
+     "lift=Lift(F=(1, 1/5, 1), G=(0, 1, 0)))"),
+    (lambda: verify_consistency(M5, P5),
+     "ConsistencyReport(consistent=True, xi=TypeIIPoint(center=0, radius_exp=-1), stratum=W3, "
+     "residue_class=AdditiveIndifferent, residue_unavailable=None, min_ord_res=Fraction(2, 1), "
+     "sigma=SigmaInvariants(sigma1=Fraction(74, 25), sigma2=Fraction(73, 25), sigma3=Fraction(24, 25)), "
+     "lift=Lift(F=(1, 1/5, 1), G=(0, 1, 0)))"),
+    (lambda: verify_consistency(distinct_fixed_lift(F(1, 5), 7), P5),
+     "ConsistencyReport(consistent=True, xi=TypeIIPoint(center=0, radius_exp=-1), "
+     "stratum=W2(x_tilde=0 mod 5), residue_class=MultiplicativeIndifferent(x_tilde=0 mod 5), "
+     "residue_unavailable=None, min_ord_res=Fraction(1, 1), sigma=SigmaInvariants(sigma1=Fraction(101, 5), "
+     "sigma2=Fraction(95, 1), sigma3=Fraction(91, 5)), lift=Lift(F=(1, 1/5, 0), G=(0, 13, 1)))"),
+]
+IDS = [repr_.split("(")[0] for _, repr_ in CASES]
+
+
+def _fields(value) -> tuple:
+    return tuple(getattr(value, name) for name in type(value).__slots__)
+
+
+def test_every_value_class_is_covered():
+    classes = {type(make()) for make, _ in CASES}
+    assert classes == {
+        Lift, Mobius, TypeIIPoint, PLFunction, SigmaInvariants, FixedPointPoly, PrimeCtx,
+        NewtonPolygon, ReductionType, ResidueClass, ResidueMap, CrucialReport, ConsistencyReport,
+    }
+    # no instance dict: the fields are the slots and nothing else
+    assert all(isinstance(make(), Value) and not hasattr(make(), "__dict__") for make, _ in CASES)
+
+
+@pytest.mark.parametrize("make, pinned", CASES, ids=IDS)
+def test_equal_values_share_a_hash(make, pinned):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("make, pinned", CASES, ids=IDS)
+def test_value_differs_from_other_classes_and_tuples(make, pinned):
+    value = make()
+    twin_class = type("Twin", (Value,), {"__slots__": type(value).__slots__})
+    twin = twin_class(*_fields(value))
+    assert _fields(twin) == _fields(value)
+    assert value != twin and twin != value
+    assert value != _fields(value) and _fields(value) != value
+
+
+@pytest.mark.parametrize("make, pinned", CASES, ids=IDS)
+def test_value_is_immutable(make, pinned):
+    value = make()
+    name = type(value).__slots__[0]
+    before = getattr(value, name)
+    with pytest.raises(AttributeError):
+        setattr(value, name, before)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert getattr(value, name) is before
+
+
+@pytest.mark.parametrize("make, pinned", CASES, ids=IDS)
+def test_repr_is_pinned(make, pinned):
+    assert repr(make()) == pinned
+
+
+@pytest.mark.parametrize("make, pinned", CASES, ids=IDS)
+def test_copy_and_pickle_round_trip(make, pinned):
+    value = make()
+    assert copy.copy(value) == value
+    assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_values_are_compared_field_by_field():
+    assert Lift(1, 0, 1, 0, 1, 0) != Lift(1, 1, 1, 0, 1, 0)
+    assert Lift(1, 0, 1, 0, 1, 0) == Lift(F(1), F(0), F(1), 0, 1, 0)
+    assert ReductionType("W2", 1, 3) != ReductionType("W2", 1, 5)
+    assert TypeIIPoint(0, 0) == gauss_point() != TypeIIPoint(0, 1)
+
+
+def test_value_arity_is_checked():
+    with pytest.raises(TypeError):
+        Lift(1, 0, 1, 0, 1)
+    with pytest.raises(TypeError):
+        CrucialReport(gauss_point(), ReductionType("W1"))
+
+
+def test_import_loads_no_dataclass_machinery():
+    # the value types are plain classes: importing the CLI pulls in neither
+    # dataclasses nor the modules it needs to generate methods
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import quadberk.cli; "
+        f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
