@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from enum import Enum
 from fractions import Fraction
 
 from .classifier import W2, multiplier_valuations, stratum
@@ -28,6 +29,7 @@ from .padic import INF, PrimeCtx
 from .parsing import parse_map
 from .quadmap import TypeIIPoint, ord_res_at, ord_res_profile
 from .reduction import classify_residue, reduce_at
+from .value import Value
 
 SCHEMA = 1
 
@@ -41,6 +43,24 @@ def fmt_rat(x) -> str:
 
 def fmt_val(v) -> str:
     return "inf" if v == INF else fmt_rat(v)
+
+
+def _detail_json(value):
+    """A ConsistencyFailure detail as JSON: rationals via fmt_rat, value
+    objects as objects of their fields, enums by their value."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return fmt_rat(value)
+    if isinstance(value, (list, tuple)):
+        return [_detail_json(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _detail_json(v) for k, v in value.items()}
+    if isinstance(value, Value):
+        return {name: _detail_json(getattr(value, name)) for name in value.__slots__}
+    if isinstance(value, Enum):
+        return value.value
+    return repr(value)
 
 
 def parse_rat(text: str) -> Fraction:
@@ -341,6 +361,23 @@ def _attach_negative_values(argv: list) -> list:
 
 
 def run(argv=None) -> int:
+    """Run one command; returns its exit code.
+
+    Exact answers can have more digits than Python converts between int and
+    str by default (4,300), so the limit is lifted while the command runs
+    and restored before run returns.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
@@ -350,7 +387,12 @@ def run(argv=None) -> int:
         return args.func(args)
     except ConsistencyFailure as exc:
         if getattr(args, "json", False):
-            print(json.dumps({"schema": SCHEMA, "consistent": False, "detail": str(exc)}))
+            print(json.dumps({
+                "schema": SCHEMA,
+                "consistent": False,
+                "detail": str(exc),
+                "details": _detail_json(exc.details),
+            }))
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 2
     except (QuadberkError, ValueError) as exc:

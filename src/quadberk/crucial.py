@@ -28,7 +28,7 @@ from .quadmap import (
     ord_res_profile,
 )
 from .reduction import ResidueClass, ResidueKind, classify_residue, reduce_at
-from .value import Value
+from .value import Value, rat
 
 #: stratum tag <-> residue kind dictated by the stratification
 STRATUM_TO_RESIDUE = {
@@ -41,12 +41,12 @@ STRATUM_TO_RESIDUE = {
 
 def multiple_fixed_lift(s: Rat) -> Lift:
     """Lift of z + s + 1/z: [X^2 + s*XY + Y^2, XY]."""
-    return Lift(1, Fraction(s), 1, 0, 1, 0)
+    return Lift(1, s, 1, 0, 1, 0)
 
 
 def distinct_fixed_lift(lambda1: Rat, lambda2: Rat) -> Lift:
     """Lift of (z^2 + l1*z)/(l2*z + 1): [X^2 + l1*XY, l2*XY + Y^2]."""
-    return Lift(1, Fraction(lambda1), 0, 0, Fraction(lambda2), 1)
+    return Lift(1, lambda1, 0, 0, lambda2, 1)
 
 
 class CrucialReport(Value):
@@ -89,7 +89,7 @@ def predict_xi_multiple_fixed(s: Rat, ctx: PrimeCtx) -> CrucialReport:
     Integral lambda3 gives good reduction at the Gauss point; a repelling
     lambda3 pushes xi out to radius sqrt|lambda3| with additive reduction.
     """
-    s = Fraction(s)
+    s = rat(s)
     lam3 = 1 - s * s
     lift = multiple_fixed_lift(s)
     if vp(lam3, ctx) >= 0:
@@ -125,7 +125,7 @@ def predict_xi_distinct_fixed(lambda1: Rat, lambda2: Rat, ctx: PrimeCtx) -> Cruc
         repelling one comes first, xi sits at radius |l1| over center 0, and
         the residue of l2 decides W2 / W3 / W4 as it is a unit != 1 / 1 / 0.
     """
-    l1, l2 = Fraction(lambda1), Fraction(lambda2)
+    l1, l2 = rat(lambda1), rat(lambda2)
     if l1 * l2 == 1:
         raise DegenerateMultipliersError("lambda1 * lambda2 = 1 is degenerate")
     l3 = lambda3_from(l1, l2)
@@ -237,7 +237,7 @@ def verify_consistency(lift: Lift, ctx: PrimeCtx, centers=None) -> ConsistencyRe
     for center in centers:
         argmin, min_val = find_crucial_on_segment(lift, center, ctx)
         if best is None or min_val < best[2]:
-            best = (Fraction(center), argmin, min_val)
+            best = (rat(center), argmin, min_val)
     center, argmin, min_val = best
     context = {"lift": lift, "p": ctx.p, "centers": list(centers)}
     if not isinstance(argmin, Fraction):

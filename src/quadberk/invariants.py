@@ -17,7 +17,7 @@ from . import polyutil
 from .errors import DegenerateMultipliersError, InternalInvariantError
 from .padic import Rat
 from .quadmap import Lift, Mobius, conjugate
-from .value import Value
+from .value import Value, rat
 
 
 class SigmaInvariants(Value):
@@ -26,7 +26,7 @@ class SigmaInvariants(Value):
     __slots__ = ("sigma1", "sigma2", "sigma3")
 
     def __init__(self, sigma1: Rat, sigma2: Rat, sigma3: Rat):
-        super().__init__(*map(Fraction, (sigma1, sigma2, sigma3)))
+        super().__init__(*map(rat, (sigma1, sigma2, sigma3)))
         if self.sigma3 != self.sigma1 - 2:
             raise InternalInvariantError(
                 f"sigma3 = {self.sigma3} != sigma1 - 2 = {self.sigma1 - 2}"
@@ -50,7 +50,7 @@ class FixedPointPoly(Value):
     __slots__ = ("c3", "c2", "c1", "c0")
 
     def __init__(self, c3: Rat, c2: Rat, c1: Rat, c0: Rat):
-        super().__init__(*map(Fraction, (c3, c2, c1, c0)))
+        super().__init__(*map(rat, (c3, c2, c1, c0)))
 
     def coefficients(self) -> tuple:
         """Leading-first: (c3, c2, c1, c0)."""
@@ -64,7 +64,7 @@ class FixedPointPoly(Value):
         return -1
 
     def __call__(self, z: Rat) -> Fraction:
-        z = Fraction(z)
+        z = rat(z)
         return ((self.c3 * z + self.c2) * z + self.c1) * z + self.c0
 
 
@@ -78,7 +78,7 @@ def fixed_point_poly(lift: Lift) -> FixedPointPoly:
 def lambda3_from(lambda1: Rat, lambda2: Rat) -> Fraction:
     """Third multiplier of a map with three distinct fixed points:
     (lambda1 + lambda2 - 2)/(lambda1*lambda2 - 1)."""
-    l1, l2 = Fraction(lambda1), Fraction(lambda2)
+    l1, l2 = rat(lambda1), rat(lambda2)
     if l1 * l2 == 1:
         raise DegenerateMultipliersError(
             "lambda1 * lambda2 = 1: the associated map is degenerate"

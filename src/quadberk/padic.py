@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .errors import NegativeValuationError, ZeroConstantError, ZeroLeadingError
-from .value import Value
+from .value import Value, rat
 
 #: Formal valuation of zero.  A float sentinel: it orders correctly against
 #: any finite (integer or Fraction) valuation, which is all we need.
@@ -82,10 +82,11 @@ def _int_ord(n: int, p: int) -> int:
 
 def vp(x: Rat, ctx: PrimeCtx):
     """p-adic order of a rational number.  Returns an int, or INF iff x == 0."""
-    f = Fraction(x)
-    if f == 0:
+    if type(x) is not int:
+        x = rat(x)  # an int or a Fraction is read as it is
+    if x.numerator == 0:
         return INF
-    return _int_ord(f.numerator, ctx.p) - _int_ord(f.denominator, ctx.p)
+    return _int_ord(x.numerator, ctx.p) - _int_ord(x.denominator, ctx.p)
 
 
 def reduce_residue(x: Rat, ctx: PrimeCtx) -> int:
@@ -93,7 +94,7 @@ def reduce_residue(x: Rat, ctx: PrimeCtx) -> int:
 
     Requires vp(x) >= 0; a pole at p raises NegativeValuationError.
     """
-    f = Fraction(x)
+    f = rat(x)
     if f != 0 and vp(f, ctx) < 0:
         raise NegativeValuationError(f"{f} has negative {ctx.p}-adic valuation")
     return f.numerator % ctx.p * pow(f.denominator, -1, ctx.p) % ctx.p
@@ -120,7 +121,7 @@ def newton_slopes(coeffs: list, ctx: PrimeCtx) -> NewtonPolygon:
     segment of slope s and horizontal length L yields L roots of valuation
     -s.
     """
-    cs = [Fraction(c) for c in coeffs]
+    cs = [rat(c) for c in coeffs]
     if len(cs) < 2:
         raise ZeroLeadingError("polynomial must have degree >= 1")
     if cs[0] == 0:

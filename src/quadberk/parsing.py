@@ -19,6 +19,18 @@ from .quadmap import Lift
 
 _MAX_DEGREE = 16  # intermediate blow-up guard
 _MAX_NESTING = 100  # parenthesis depth; each level costs five Python frames
+#: int() converts a digit string this long under any sys.set_int_max_str_digits
+#: setting (0, or at least 640; the default is 4,300)
+_INT_CHUNK = 640
+
+
+def _int_from_digits(digits: str) -> int:
+    """int(digits) for a run of decimal digits of any length: longer runs
+    than int() accepts are converted in halves."""
+    if len(digits) <= _INT_CHUNK:
+        return int(digits)
+    half = len(digits) // 2
+    return _int_from_digits(digits[:-half]) * 10**half + _int_from_digits(digits[-half:])
 
 
 class _Token:
@@ -42,7 +54,7 @@ def _tokenize(text: str) -> list:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(_Token("num", int(text[i:j]), i))
+            tokens.append(_Token("num", _int_from_digits(text[i:j]), i))
             i = j
         elif ch == "z":
             tokens.append(_Token("z", None, i))

@@ -8,6 +8,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .value import rat
+
+# shared constants: a Fraction is immutable, so one instance serves every list
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 def trim(p: list) -> list:
     while p and p[-1] == 0:
@@ -22,7 +28,7 @@ def degree(p: list) -> int:
 
 def add(p: list, q: list) -> list:
     n = max(len(p), len(q))
-    out = [Fraction(0)] * n
+    out = [_ZERO] * n
     for i, c in enumerate(p):
         out[i] += c
     for i, c in enumerate(q):
@@ -37,7 +43,7 @@ def sub(p: list, q: list) -> list:
 def mul(p: list, q: list) -> list:
     if not p or not q:
         return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [_ZERO] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
@@ -47,7 +53,7 @@ def mul(p: list, q: list) -> list:
 
 
 def scale(p: list, c) -> list:
-    c = Fraction(c)
+    c = rat(c)
     if c == 0:
         return []
     return [a * c for a in p]
@@ -57,8 +63,8 @@ def divmod_exact(p: list, q: list) -> tuple:
     """Euclidean division over Q."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in p]
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    rem = [rat(c) for c in p]
+    quot = [_ZERO] * max(len(p) - len(q) + 1, 0)
     dq, lead = degree(q), q[-1]
     while degree(rem) >= dq and rem:
         shift = degree(rem) - dq
@@ -72,8 +78,8 @@ def divmod_exact(p: list, q: list) -> tuple:
 
 def gcd(p: list, q: list) -> list:
     """Monic gcd over Q ([] if both zero)."""
-    a = [Fraction(c) for c in p]
-    b = [Fraction(c) for c in q]
+    a = [rat(c) for c in p]
+    b = [rat(c) for c in q]
     trim(a), trim(b)
     while b:
         _, r = divmod_exact(a, b)
@@ -87,12 +93,12 @@ def gcd(p: list, q: list) -> list:
 def exact_det(rows: list) -> Fraction:
     """Determinant over Q by Gaussian elimination with exact Fractions."""
     n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
+    m = [[rat(x) for x in row] for row in rows]
+    det = _ONE
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return _ZERO
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             det = -det
@@ -119,14 +125,14 @@ def resultant(p: list, q: list, deg_p: int | None = None, deg_q: int | None = No
     if dp < 0 or dq < 0:
         raise ValueError("resultant of a zero polynomial")
     # leading-first rows padded to the formal degree
-    prow = [Fraction(p[i]) if i < len(p) else Fraction(0) for i in range(dp, -1, -1)]
-    qrow = [Fraction(q[i]) if i < len(q) else Fraction(0) for i in range(dq, -1, -1)]
+    prow = [rat(p[i]) if i < len(p) else _ZERO for i in range(dp, -1, -1)]
+    qrow = [rat(q[i]) if i < len(q) else _ZERO for i in range(dq, -1, -1)]
     size = dp + dq
     rows = []
     for shift in range(dq):
-        rows.append([Fraction(0)] * shift + prow + [Fraction(0)] * (size - shift - dp - 1))
+        rows.append([_ZERO] * shift + prow + [_ZERO] * (size - shift - dp - 1))
     for shift in range(dp):
-        rows.append([Fraction(0)] * shift + qrow + [Fraction(0)] * (size - shift - dq - 1))
+        rows.append([_ZERO] * shift + qrow + [_ZERO] * (size - shift - dq - 1))
     return exact_det(rows)
 
 
@@ -134,11 +140,11 @@ def lagrange_interpolate(points: list) -> list:
     """Polynomial of degree < len(points) through the given (x, y) pairs."""
     result = []
     for i, (xi, yi) in enumerate(points):
-        term = [Fraction(yi)]
+        term = [rat(yi)]
         for j, (xj, _) in enumerate(points):
             if i == j:
                 continue
-            term = mul(term, [Fraction(-xj), Fraction(1)])
+            term = mul(term, [rat(-xj), _ONE])
             term = scale(term, Fraction(1, xi - xj))
         result = add(result, term)
     return result

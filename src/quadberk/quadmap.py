@@ -31,14 +31,21 @@ from .errors import (
     UnboundedProfileError,
 )
 from .padic import PrimeCtx, Rat, vp
-from .value import Value
+from .value import Value, rat
 
 
 def _integral(coeffs) -> tuple:
     """(ints, L): L is the lcm of the denominators and ints[i] = L * coeffs[i]."""
-    fs = [Fraction(c) for c in coeffs]
+    # an int or a Fraction is read as it is
+    fs = [c if type(c) is int else rat(c) for c in coeffs]
     L = lcm(*(f.denominator for f in fs))
     return [f.numerator * (L // f.denominator) for f in fs], L
+
+
+def _integral_resultant(coeffs) -> tuple:
+    """(res, L): the closed form on the six coefficients scaled by L."""
+    (a0, a1, a2, b0, b1, b2), L = _integral(coeffs)
+    return (a0 * b2 - a2 * b0) ** 2 - (a0 * b1 - a1 * b0) * (a1 * b2 - a2 * b1), L
 
 
 def resultant_forms(f: tuple, g: tuple) -> Fraction:
@@ -51,8 +58,7 @@ def resultant_forms(f: tuple, g: tuple) -> Fraction:
     construction rejects that case, but the raw operation accepts any
     coefficients.
     """
-    (a0, a1, a2, b0, b1, b2), L = _integral((*f, *g))
-    res = (a0 * b2 - a2 * b0) ** 2 - (a0 * b1 - a1 * b0) * (a1 * b2 - a2 * b1)
+    res, L = _integral_resultant((*f, *g))
     return Fraction(res, L**4)
 
 
@@ -62,8 +68,8 @@ class Lift(Value):
     __slots__ = ("a0", "a1", "a2", "b0", "b1", "b2")
 
     def __init__(self, a0: Rat, a1: Rat, a2: Rat, b0: Rat, b1: Rat, b2: Rat):
-        super().__init__(*map(Fraction, (a0, a1, a2, b0, b1, b2)))
-        if resultant_forms(self.f_coeffs, self.g_coeffs) == 0:
+        super().__init__(*map(rat, (a0, a1, a2, b0, b1, b2)))
+        if _integral_resultant(self.coeffs)[0] == 0:
             raise DegenerateMapError(
                 f"lift {self.coeffs} has resultant 0 (degenerate map)"
             )
@@ -81,7 +87,7 @@ class Lift(Value):
         return self.f_coeffs + self.g_coeffs
 
     def scaled(self, c: Rat) -> "Lift":
-        c = Fraction(c)
+        c = rat(c)
         if c == 0:
             raise ValueError("cannot scale a lift by zero")
         return Lift(*(x * c for x in self.coeffs))
@@ -105,7 +111,7 @@ class Mobius(Value):
     __slots__ = ("A", "B", "C", "D")
 
     def __init__(self, A: Rat, B: Rat, C: Rat, D: Rat):
-        super().__init__(*map(Fraction, (A, B, C, D)))
+        super().__init__(*map(rat, (A, B, C, D)))
         if self.det == 0:
             raise SingularMatrixError(f"matrix {self} has determinant 0")
 
@@ -132,7 +138,7 @@ class TypeIIPoint(Value):
     __slots__ = ("center", "radius_exp")
 
     def __init__(self, center: Rat, radius_exp: Rat):
-        super().__init__(Fraction(center), Fraction(radius_exp))
+        super().__init__(rat(center), rat(radius_exp))
 
     @property
     def is_integral(self) -> bool:
@@ -220,7 +226,7 @@ class PLFunction(Value):
         """Pointwise maximum of affine functions given as (slope, intercept)."""
         best = {}
         for k, b in lines:
-            k, b = Fraction(k), Fraction(b)
+            k, b = rat(k), rat(b)
             if k not in best or b > best[k]:
                 best[k] = b
         items = sorted(best.items())
@@ -243,7 +249,7 @@ class PLFunction(Value):
         return cls(tuple(slopes), tuple(intercepts), tuple(bps))
 
     def __call__(self, m: Rat) -> Fraction:
-        m = Fraction(m)
+        m = rat(m)
         i = bisect_right(self.breakpoints, m)
         return self.slopes[i] * m + self.intercepts[i]
 
@@ -273,7 +279,7 @@ def _coefficient_lines(lift: Lift, center: Rat) -> list:
     """(k, c) pairs: the i-th coefficient of the conjugate of the lift by
     z -> center + p^m z equals c * p^(k*m), so its valuation is
     vp(c) + k*m, affine in m."""
-    a = Fraction(center)
+    a = rat(center)
     a0, a1, a2 = lift.f_coeffs
     b0, b1, b2 = lift.g_coeffs
     f_at = a0 * a * a + a1 * a + a2

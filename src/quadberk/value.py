@@ -1,4 +1,15 @@
-"""Immutable value objects, the common base of the package's data types."""
+"""Immutable value objects, the common base of the package's data types,
+and ``rat``, the package's one coercion to an exact rational."""
+
+from fractions import Fraction
+
+
+def rat(x) -> Fraction:
+    """x as a Fraction: x itself when its type is exactly Fraction (values
+    are immutable, so sharing is safe), Fraction(x) otherwise.  Skips the
+    abstract-base-class check Fraction(x) makes on a value that already is
+    one; results and exceptions are Fraction(x)'s for every input."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 class Value:

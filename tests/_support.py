@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 from quadberk import (
     Lift,
@@ -108,7 +109,8 @@ def expand_monic(roots):
 
 
 def int_vp(x, p: int):
-    """Reference valuation, written independently of the library."""
+    """Reference valuation, written independently of the library; every
+    input goes through Fraction(), which vp skips for ints and Fractions."""
     x = Fraction(x)
     if x == 0:
         return float("inf")
@@ -122,6 +124,18 @@ def int_vp(x, p: int):
         d //= p
         v -= 1
     return v
+
+
+def integral_oracle(coeffs) -> tuple:
+    """(ints, L) of quadmap._integral with every coefficient put through
+    Fraction(), which _integral skips for ints and Fractions."""
+    fs = [Fraction(c) for c in coeffs]
+    L = lcm(*(f.denominator for f in fs))
+    return [f.numerator * (L // f.denominator) for f in fs], L
+
+
+class FractionSub(Fraction):
+    """A Fraction subclass: the library must read it as a plain Fraction."""
 
 
 def rand_rat(rng, lo=-20, hi=20, dmax=12, allow_zero=True) -> Fraction:

@@ -16,6 +16,7 @@ from quadberk import (
     MapSyntaxError,
     lift_to_expr,
     parse_map,
+    sigma_invariants,
 )
 import quadberk
 from quadberk.cli import run
@@ -229,6 +230,91 @@ def test_cli_consistency_failure_exit_code(capsys, monkeypatch):
     assert code == 2
     assert json.loads(captured.out)["consistent"] is False
     assert "routes disagree" in captured.err
+
+
+def test_cli_consistency_failure_json_details(capsys, monkeypatch):
+    from quadberk import ConsistencyFailure, ReductionType, ResidueClass, TypeIIPoint
+    from quadberk import cli as cli_module
+    from quadberk.reduction import ResidueKind
+
+    details = {
+        "lift": Lift(1, Fraction(1, 5), 1, 0, 1, 0),
+        "p": 5,
+        "sigma": (Fraction(74, 25), Fraction(73, 25), Fraction(24, 25)),
+        "argmin": (Fraction(-1, 2), 3),
+        "xi": TypeIIPoint(0, -1),
+        "stratum": ReductionType("W2", 1, 5),
+        "residue_class": ResidueClass(ResidueKind.ADDITIVE),
+        "flag": True,
+        "reason": None,
+    }
+    exc = ConsistencyFailure("routes disagree", details)
+
+    def explode(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli_module, "verify_consistency", explode)
+    code, payload = _run_json(capsys, ["verify", "-p", "5", "--map", "z^2", "--json"])
+    assert code == 2
+    assert payload["schema"] == 1 and payload["consistent"] is False
+    assert payload["detail"] == str(exc)
+    assert payload["details"] == {
+        "lift": {"a0": "1", "a1": "1/5", "a2": "1", "b0": "0", "b1": "1", "b2": "0"},
+        "p": "5",
+        "sigma": ["74/25", "73/25", "24/25"],
+        "argmin": ["-1/2", "3"],
+        "xi": {"center": "0", "radius_exp": "-1"},
+        "stratum": {"tag": "W2", "x_tilde": "1", "p": "5"},
+        "residue_class": {"kind": "AdditiveIndifferent", "x_tilde": None, "p": None},
+        "flag": True,
+        "reason": None,
+    }
+
+
+@contextlib.contextmanager
+def _int_str_digits(limit):
+    """Set Python's int<->str digit limit (where it has one) for the block."""
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if saved is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        yield saved
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+
+
+def test_cli_long_coefficients(capsys):
+    # sigma2 of this map has over 4,300 digits, Python's default int<->str limit
+    text = "z^2 + " + "7" * 2500 + "z + 1"
+    code, payload = _run_json(capsys, ["classify", "-p", "5", "--map", text, "--json"])
+    assert code == 0
+    sigma = sigma_invariants(parse_map(text))
+    with _int_str_digits(0):
+        expected = [str(s) for s in sigma.as_tuple()]
+    assert [payload["sigma1"], payload["sigma2"], payload["sigma3"]] == expected
+    assert len(payload["sigma2"]) > 4300
+    # a 5,000-digit literal is read as a number, in the library and the CLI
+    assert parse_map("7" * 5000 + "z^2 + z + 1").a0 == 1
+    assert run(["verify", "-p", "5", "--map", "z + " + "1" * 5000 + "/5 + 1/z", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["stratum"] == "W3"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "-p", "5", "--map", "z^2 + " + "7" * 2500 + "z + 1"],
+    ["classify", "-p", "5", "--map", "z^3"],
+    ["classify", "-p", "4", "--map", "z^2"],
+    ["classify", "--map", "z^2"],
+])
+def test_cli_leaves_int_str_limit_unchanged(capsys, argv):
+    # run lifts the limit only while the command runs, on every exit path
+    with _int_str_digits(5000) as saved:
+        run(argv)
+        after = sys.get_int_max_str_digits() if saved is not None else None
+    capsys.readouterr()
+    assert after == (5000 if saved is not None else None)
+    if saved is not None:
+        assert sys.get_int_max_str_digits() == saved
 
 
 def test_cli_byte_stable(capsys):

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -25,8 +26,12 @@ from quadberk import (
     resultant_forms,
     vp,
 )
+from quadberk.quadmap import _integral
 from _support import (
+    FractionSub,
     conjugate_oracle,
+    int_vp,
+    integral_oracle,
     perm_det,
     rand_lift,
     rand_mobius,
@@ -250,3 +255,48 @@ def test_envelope_dominates_lines():
         f = PLFunction.upper_envelope(lines)
         for m in [Fraction(n, 3) for n in range(-15, 16)]:
             assert f(m) == max(s * m + b for s, b in lines)
+
+
+_huge = st.integers(min_value=-(10**300), max_value=10**300)
+_huge_den = st.integers(min_value=1, max_value=10**300)
+exact_values = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.booleans(),
+    st.integers(),
+    _huge,
+    st.fractions(),
+    st.builds(Fraction, _huge, _huge_den),
+    st.builds(FractionSub, _huge, _huge_den),
+)
+
+
+@given(st.lists(exact_values, min_size=6, max_size=6), st.sampled_from((2, 3, 5, 7, 13)))
+@settings(max_examples=300)
+def test_exact_kernels_match_coercing_oracles(cs, p):
+    # vp and _integral read ints and Fractions without Fraction(); they must
+    # agree with the coercing versions on ints, bools, Fractions and
+    # subclasses, at any height and at 0 (where vp is INF)
+    ctx = PrimeCtx(p)
+    for c in cs:
+        assert vp(c, ctx) == int_vp(c, p)
+    ints, L = _integral(cs)
+    assert (ints, L) == integral_oracle(cs)
+    assert all(type(n) is int for n in ints) and type(L) is int
+    res = resultant_forms(tuple(cs[:3]), tuple(cs[3:]))
+    assert type(res) is Fraction
+    assert res == perm_det(sylvester_rows(cs[:3], cs[3:]))
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return "raised", type(exc), str(exc)
+
+
+@pytest.mark.parametrize("x", [2.5, "3/4", " -7 ", Decimal("1.5"), float("inf"), float("nan"), None, "z"])
+def test_kernels_coerce_other_types_like_fraction(x):
+    # any other input still goes through Fraction(): same result or same error
+    assert _outcome(vp, x, P5) == _outcome(int_vp, x, 5)
+    assert _outcome(_integral, [x, 1]) == _outcome(integral_oracle, [x, 1])

@@ -38,7 +38,8 @@ from quadberk import (
 )
 from quadberk.invariants import FixedPointPoly
 from quadberk.padic import NewtonPolygon
-from quadberk.value import Value
+from quadberk.value import Value, rat
+from _support import FractionSub
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 P5 = PrimeCtx(5)
@@ -155,6 +156,41 @@ def test_value_arity_is_checked():
         Lift(1, 0, 1, 0, 1)
     with pytest.raises(TypeError):
         CrucialReport(gauss_point(), ReductionType("W1"))
+
+
+# each input must be stored as a value whose type is exactly Fraction
+RAT_INPUTS = [3, True, F(-2, 3), FractionSub(5, 7)]
+RAT_IDS = ["int", "bool", "Fraction", "Fraction-subclass"]
+# each factory puts x into every field it can while staying nondegenerate
+RAT_FACTORIES = {
+    "Lift": lambda x: Lift(x, x, x, 0, x, x),
+    "Lift.scaled": lambda x: M5.scaled(x),
+    "Mobius": lambda x: Mobius(x, x, 0, x),
+    "TypeIIPoint": lambda x: TypeIIPoint(x, x),
+    "SigmaInvariants": lambda x: SigmaInvariants(x, x, x - 2),
+    "FixedPointPoly": lambda x: FixedPointPoly(x, x, x, x),
+}
+
+
+@pytest.mark.parametrize("x", RAT_INPUTS, ids=RAT_IDS)
+@pytest.mark.parametrize("name", RAT_FACTORIES)
+def test_coerced_fields_are_exact_fractions(name, x):
+    value = RAT_FACTORIES[name](x)
+    for field in _fields(value):
+        assert type(field) is F
+    if type(x) is F and name != "Lift.scaled":
+        # an exact Fraction is stored as it is, not copied
+        assert any(field is x for field in _fields(value))
+
+
+def test_rat_contract():
+    x = F(3, 4)
+    assert rat(x) is x
+    for value in (5, True, FractionSub(3, 4), "3/4", 0.75):
+        assert type(rat(value)) is F and rat(value) == F(value)
+    for bad, error in ((None, TypeError), ("z", ValueError), (float("nan"), ValueError)):
+        with pytest.raises(error):
+            rat(bad)
 
 
 def test_import_loads_no_dataclass_machinery():
