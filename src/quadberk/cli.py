@@ -15,6 +15,8 @@ import json
 import sys
 from enum import Enum
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 from .classifier import W2, multiplier_valuations, stratum
 from .crucial import (
@@ -64,6 +66,9 @@ def _detail_json(value):
 
 
 def parse_rat(text: str) -> Fraction:
+    """A rational written in ASCII, in any form Fraction() reads."""
+    if not text.isascii():
+        raise QuadberkError(f"invalid rational {text!r}: not ASCII")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -205,8 +210,18 @@ def cmd_verify(args) -> int:
     return 0
 
 
+#: values in one sweep, and in any one range of it
+_MAX_SWEEP = 100_000
+
+
+def _check_sweep_size(count: int, what: str) -> None:
+    if count > _MAX_SWEEP:
+        raise QuadberkError(f"{what} has {count} values; a sweep takes at most {_MAX_SWEEP}")
+
+
 def _parse_range(text: str) -> list:
-    """Comma list of rationals, or "start:stop[:step]" (inclusive ends)."""
+    """Comma list of rationals, or "start:stop[:step]" (inclusive ends) of
+    at most _MAX_SWEEP values, counted before one is built."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
@@ -215,57 +230,42 @@ def _parse_range(text: str) -> list:
         step = parse_rat(parts[2]) if len(parts) == 3 else Fraction(1)
         if step <= 0:
             raise QuadberkError("range step must be positive")
-        values = []
-        current = start
-        while current <= stop:
-            values.append(current)
-            current += step
-        return values
+        count = max((stop - start) // step + 1, 0)
+        _check_sweep_size(count, f"range {text!r}")
+        return [start + i * step for i in range(count)]
     return [parse_rat(part) for part in text.split(",") if part.strip()]
 
 
 def cmd_sweep(args) -> int:
     ctx = PrimeCtx(args.p)
-    if args.form == "A":
-        if args.l2:
-            raise QuadberkError("--l2 does not apply to form A (one parameter s)")
-        instances = [(s,) for s in sorted(set(_parse_range(args.l1)))]
-    else:
-        if not args.l2:
-            raise QuadberkError("form B needs both --l1 and --l2")
-        l1s = sorted(set(_parse_range(args.l1)))
-        l2s = sorted(set(_parse_range(args.l2)))
-        instances = [(l1, l2) for l1 in l1s for l2 in l2s]
+    if args.form == "A" and args.l2:
+        raise QuadberkError("--l2 does not apply to form A (one parameter s)")
+    if args.form == "B" and not args.l2:
+        raise QuadberkError("form B needs both --l1 and --l2")
+    texts = [args.l1] if args.form == "A" else [args.l1, args.l2]
+    axes = [sorted(set(_parse_range(text))) for text in texts]
+    _check_sweep_size(prod(map(len, axes)), "the sweep")
     rows = []
-    for params in instances:
-        row = {"l1": fmt_rat(params[0])}
-        if len(params) == 2:
-            row["l2"] = fmt_rat(params[1])
+    for params in product(*axes):
+        row = dict(zip(("l1", "l2"), map(fmt_rat, params)))
         try:
-            lift = (
-                multiple_fixed_lift(params[0])
-                if args.form == "A"
-                else distinct_fixed_lift(*params)
-            )
+            lift = multiple_fixed_lift(*params) if args.form == "A" else distinct_fixed_lift(*params)
             report = verify_consistency(lift, ctx)
         except ConsistencyFailure:
             raise
         except QuadberkError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
-            continue
-        row.update(_stratum_fields(report.stratum))
-        row["xi"] = _point_dict(report.xi)
-        row["min_ord_res"] = fmt_rat(report.min_ord_res)
-        row["consistent"] = report.consistent
+        else:
+            row.update(_stratum_fields(report.stratum))
+            row["xi"] = _point_dict(report.xi)
+            row["min_ord_res"] = fmt_rat(report.min_ord_res)
+            row["consistent"] = report.consistent
         rows.append(row)
     if args.json:
         print(json.dumps({"schema": SCHEMA, "form": args.form, "results": rows}))
     else:
         for row in rows:
-            bits = [f"l1={row['l1']}"]
-            if "l2" in row:
-                bits.append(f"l2={row['l2']}")
+            bits = [f"{key}={row[key]}" for key in ("l1", "l2") if key in row]
             if "error" in row:
                 bits.append(row["error"])
             else:

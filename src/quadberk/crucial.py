@@ -72,12 +72,14 @@ def _check_stratum_residue(strat: ReductionType, rc: ResidueClass, context: dict
         )
 
 
-def _complete_report(lift: Lift, xi: TypeIIPoint, strat: ReductionType, ctx: PrimeCtx) -> CrucialReport:
+def _complete_report(lift: Lift, xi: TypeIIPoint, strat: ReductionType, ctx: PrimeCtx,
+                     context: dict | None = None) -> CrucialReport:
     profile = ord_res_profile(lift, xi.center, ctx)
     min_val = profile(xi.radius_exp)
     if xi.is_integral:
         rc = classify_residue(reduce_at(lift, xi, ctx))
-        _check_stratum_residue(strat, rc, {"lift": lift, "xi": xi, "p": ctx.p})
+        dump = {"lift": lift, "xi": xi, "p": ctx.p} if context is None else context | {"xi": xi}
+        _check_stratum_residue(strat, rc, dump)
         return CrucialReport(xi, strat, rc, None, min_val, lift)
     reason = "half-integer radius exponent: no rational conjugating matrix"
     return CrucialReport(xi, strat, None, reason, min_val, lift)
@@ -217,38 +219,32 @@ def verify_consistency(lift: Lift, ctx: PrimeCtx, centers=None) -> ConsistencyRe
                 f"({report.xi.radius_exp}, {report.min_ord_res})",
                 context,
             )
-        return ConsistencyReport(
-            True,
-            report.xi,
-            strat_sigma,
-            report.residue_class,
-            report.residue_unavailable,
-            report.min_ord_res,
-            sigma,
-            report.lift,
-        )
-
-    if not centers:
+    elif not centers:
         raise NotNormalFormError(
             "lift is not in a recognized normal form; supply segment centers spanning "
             "the fixed-point tree"
         )
-    best = None
-    for center in centers:
-        argmin, min_val = find_crucial_on_segment(lift, center, ctx)
-        if best is None or min_val < best[2]:
-            best = (rat(center), argmin, min_val)
-    center, argmin, min_val = best
-    context = {"lift": lift, "p": ctx.p, "centers": list(centers)}
-    if not isinstance(argmin, Fraction):
-        raise ConsistencyFailure(
-            "profile minimizer is an interval (degenerate center choice)",
-            context | {"center": center, "argmin": argmin},
-        )
-    xi = TypeIIPoint(center, argmin)
-    if xi.is_integral:
-        rc = classify_residue(reduce_at(lift, xi, ctx))
-        _check_stratum_residue(strat_sigma, rc, context | {"xi": xi})
-        return ConsistencyReport(True, xi, strat_sigma, rc, None, min_val, sigma, lift)
-    reason = "half-integer radius exponent: no rational conjugating matrix"
-    return ConsistencyReport(True, xi, strat_sigma, None, reason, min_val, sigma, lift)
+    else:
+        best = None
+        for center in centers:
+            argmin, min_val = find_crucial_on_segment(lift, center, ctx)
+            if best is None or min_val < best[2]:
+                best = (rat(center), argmin, min_val)
+        center, argmin, _ = best
+        context = {"lift": lift, "p": ctx.p, "centers": list(centers)}
+        if not isinstance(argmin, Fraction):
+            raise ConsistencyFailure(
+                "profile minimizer is an interval (degenerate center choice)",
+                context | {"center": center, "argmin": argmin},
+            )
+        report = _complete_report(lift, TypeIIPoint(center, argmin), strat_sigma, ctx, context)
+    return ConsistencyReport(
+        True,
+        report.xi,
+        strat_sigma,
+        report.residue_class,
+        report.residue_unavailable,
+        report.min_ord_res,
+        sigma,
+        report.lift,
+    )

@@ -1,12 +1,12 @@
 """Parsing and printing of rational-map expressions in the variable z.
 
-Accepted grammar: integer and fraction literals (``a/b``), the variable
-``z``, operators ``+ - * / ^`` with the usual precedence, parentheses, and
-implicit multiplication (``3z``, ``2(z+1)``).  Exponents must be
-nonnegative integer literals; parentheses nest at most 100 deep.  The
-expression is expanded into a single rational function, the polynomial gcd
-of numerator and denominator is cancelled, and the result must have degree
-exactly 2.
+Accepted grammar: integer and fraction literals in ASCII digits (``a/b``),
+the variable ``z``, operators ``+ - * / ^`` with the usual precedence,
+parentheses, and implicit multiplication (``3z``, ``2(z+1)``).  Exponents
+must be nonnegative integer literals; parentheses nest at most 100 deep.
+The expression is expanded into a single rational function, the polynomial
+gcd of numerator and denominator is cancelled, and the result must have
+degree exactly 2.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ def _tokenize(text: str) -> list:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("num", _int_from_digits(text[i:j]), i))
             i = j
@@ -97,10 +97,7 @@ class _RationalFunction:
         return _RationalFunction(num, polyutil.mul(self.den, other.den))._guard(pos)
 
     def sub(self, other, pos):
-        num = polyutil.sub(
-            polyutil.mul(self.num, other.den), polyutil.mul(other.num, self.den)
-        )
-        return _RationalFunction(num, polyutil.mul(self.den, other.den))._guard(pos)
+        return self.add(other.neg(), pos)
 
     def mul(self, other, pos):
         return _RationalFunction(
@@ -237,28 +234,16 @@ def parse_map(text: str) -> Lift:
     )
 
 
-def _format_coeff(c: Fraction) -> str:
-    return str(c)
-
-
 def _poly_to_expr(c2: Fraction, c1: Fraction, c0: Fraction) -> str:
-    parts = []
+    text = ""
     for coeff, power in ((c2, "z^2"), (c1, "z"), (c0, "")):
         if coeff == 0:
             continue
-        if power:
-            body = power if abs(coeff) == 1 else f"{_format_coeff(abs(coeff))}*{power}"
-        else:
-            body = _format_coeff(abs(coeff))
+        mag = abs(coeff)
+        body = f"{mag}*{power}" if power and mag != 1 else power or str(mag)
         sign = "-" if coeff < 0 else "+"
-        parts.append((sign, body))
-    if not parts:
-        return "0"
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+        text = f"{text} {sign} {body}" if text else sign.strip("+") + body
+    return text or "0"
 
 
 def lift_to_expr(lift: Lift) -> str:
@@ -268,6 +253,6 @@ def lift_to_expr(lift: Lift) -> str:
     if lift.b0 == 0 and lift.b1 == 0:
         if lift.b2 == 1:
             return num
-        return f"({num})/({_format_coeff(lift.b2)})"
+        return f"({num})/({lift.b2})"
     den = _poly_to_expr(lift.b0, lift.b1, lift.b2)
     return f"({num})/({den})"

@@ -296,25 +296,27 @@ def _coefficient_lines(lift: Lift, center: Rat) -> list:
     ]
 
 
-def ord_res_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> int:
-    """ordRes of the map at a type II point with integer radius exponent.
-
-    Computed two ways - the Sylvester resultant of the normalized conjugate,
-    and the transformation formula
-    ordRes(zeta_G) + 6*ord(det gamma) - 4*min(ord F^gamma, ord G^gamma) -
-    and checked for agreement.
-    """
+def _normalized_conjugate(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> tuple:
+    """(normalized conjugate of the lift by z -> center + p^m z, its mu) at a
+    type II point with integer radius exponent m."""
     if not point.is_integral:
         raise NonIntegralRadiusError(
             f"radius exponent {point.radius_exp} is not an integer"
         )
-    m = int(point.radius_exp)
-    gamma = Mobius.affine(Fraction(ctx.p) ** m, point.center)
-    base, _ = normalize(lift, ctx)
-    conj = conjugate(base, gamma)
-    conj_norm, mu = normalize(conj, ctx)
-    direct = vp(resultant(conj_norm), ctx)
-    formula = vp(resultant(base), ctx) + 6 * m - 4 * mu
+    gamma = Mobius.affine(Fraction(ctx.p) ** int(point.radius_exp), point.center)
+    return normalize(conjugate(lift, gamma), ctx)
+
+
+def ord_res_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> int:
+    """ordRes of the map at a type II point with integer radius exponent m.
+
+    Computed two ways - the Sylvester resultant of the normalized conjugate,
+    and the transformation formula vp(Res) + 6m - 4*min(ord F^gamma,
+    ord G^gamma) that ord_res_profile evaluates - and checked for agreement.
+    """
+    conj, mu = _normalized_conjugate(lift, point, ctx)
+    direct = vp(resultant(conj), ctx)
+    formula = vp(resultant(lift), ctx) + 6 * int(point.radius_exp) - 4 * mu
     if direct != formula:
         raise InternalInvariantError(
             f"ordRes routes disagree at {point}: direct {direct}, formula {formula}"

@@ -1,21 +1,22 @@
 """Residue maps at type II points and their dynamical classification.
 
-Reducing a normalized lift of a conjugate mod p and removing the common
-polynomial factor yields a rational map over F_p of degree 0, 1 or 2.  The
-degree decides whether the tested point is moved (degree 0), an indifferent
-fixed point (degree 1) or a repelling fixed point (degree 2); degree-1 maps
-split further into multiplicative, additive and identity types by their
-2x2 residue matrix.
+A normalized lift of a conjugate reduces mod p to two binary quadratic
+forms over F_p; the cross product w of their coefficient vectors gives the
+residue map: degree 0 if w = 0 (proportional forms), degree 2 if the
+resultant w1^2 - w0*w2 is nonzero, and otherwise degree 1 after dividing
+out the one common root, read off w.  The degree decides whether the tested
+point is moved (degree 0), an indifferent fixed point (degree 1) or a
+repelling fixed point (degree 2); degree-1 maps split further into
+multiplicative, additive and identity types by their 2x2 residue matrix.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 
-from .errors import InternalInvariantError, NonIntegralRadiusError, QuadberkError
+from .errors import InternalInvariantError, QuadberkError
 from .padic import PrimeCtx, reduce_residue
-from .quadmap import Lift, Mobius, TypeIIPoint, conjugate, normalize
+from .quadmap import Lift, TypeIIPoint, _normalized_conjugate
 from .value import Value
 
 
@@ -46,43 +47,6 @@ class ResidueClass(Value):
         return self.kind.value
 
 
-# mod-p polynomial helpers; dense low-to-high int lists, [] = zero
-
-
-def _trim_p(f: list) -> list:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _divmod_p(f: list, g: list, p: int) -> tuple:
-    rem = [c % p for c in f]
-    _trim_p(rem)
-    dg = len(g) - 1
-    lead_inv = pow(g[-1], -1, p)
-    quot = [0] * max(len(rem) - dg, 0)
-    while len(rem) - 1 >= dg and rem:
-        shift = len(rem) - 1 - dg
-        coeff = rem[-1] * lead_inv % p
-        quot[shift] = coeff
-        for i, c in enumerate(g):
-            rem[shift + i] = (rem[shift + i] - coeff * c) % p
-        _trim_p(rem)
-    return quot, rem
-
-
-def _gcd_p(f: list, g: list, p: int) -> list:
-    a = _trim_p([c % p for c in f])
-    b = _trim_p([c % p for c in g])
-    while b:
-        _, r = _divmod_p(a, b, p)
-        a, b = b, r
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
 class ResidueMap(Value):
     """Pair of coprime homogeneous forms over F_p, coefficients leading-first
     in X; both forms have homogeneous degree = len - 1."""
@@ -107,55 +71,54 @@ class ResidueMap(Value):
         return (self.ftilde, self.gtilde)
 
 
-def _dehomogenize(form: tuple) -> tuple:
-    """(low-to-high univariate part, power of Y split off)."""
-    low_to_high = list(reversed(form))
-    univ = _trim_p(list(low_to_high))
-    if not univ:
-        return [], None
-    y_power = len(form) - len(univ)
-    return univ, y_power
+def _common_root(w: tuple, p: int):
+    """r with X - r*Y the common factor of two forms with cross product
+    w != 0 and resultant 0, or None for the factor Y: w is proportional to
+    (x^2, x*y, y^2) at the common root (x : y)."""
+    return w[1] * pow(w[2], -1, p) % p if w[2] else None
 
 
 def reduce_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> ResidueMap:
     """Residue map of the lift at a type II point with integer radius exponent.
 
-    Conjugates by z -> center + p^m z, normalizes, reduces each coefficient
-    mod p, and removes the common factor in F_p[X, Y].
+    The normalized conjugate by z -> center + p^m z reduces mod p to
+    F~ = (a0, a1, a2) and G~ = (b0, b1, b2).  If one vanishes, the map is
+    the constant 0 or infinity; otherwise, with the cross product
+    w = (a1*b2 - a2*b1, a2*b0 - a0*b2, a0*b1 - a1*b0):
+
+      * w = 0: the forms are proportional; the map is the constant a_i/b_i
+        at the first nonzero a_i;
+      * w1^2 - w0*w2 != 0: the resultant is a unit; the map is F~/G~;
+      * otherwise the common root is (w1 : w2), or (1 : 0) when w2 = 0;
+        dividing out X - r*Y leaves (a0, a1 + r*a0) and (b0, b1 + r*b0),
+        dividing out Y leaves (a1, a2) and (b1, b2).
     """
-    if not point.is_integral:
-        raise NonIntegralRadiusError(
-            f"radius exponent {point.radius_exp} is not an integer"
-        )
-    m = int(point.radius_exp)
-    gamma = Mobius.affine(Fraction(ctx.p) ** m, point.center)
-    normalized, _ = normalize(conjugate(lift, gamma), ctx)
-    fbar = tuple(reduce_residue(c, ctx) for c in normalized.f_coeffs)
-    gbar = tuple(reduce_residue(c, ctx) for c in normalized.g_coeffs)
-    f_univ, fy = _dehomogenize(fbar)
-    g_univ, gy = _dehomogenize(gbar)
-    if not f_univ:
-        # F vanishes mod p: constant map to 0
+    conj, _ = _normalized_conjugate(lift, point, ctx)
+    p = ctx.p
+    ftilde = tuple(reduce_residue(c, ctx) for c in conj.f_coeffs)
+    gtilde = tuple(reduce_residue(c, ctx) for c in conj.g_coeffs)
+    if not any(ftilde):
         return ResidueMap((0,), (1,), ctx)
-    if not g_univ:
-        # G vanishes mod p: constant map to infinity
+    if not any(gtilde):
         return ResidueMap((1,), (0,), ctx)
-    y_common = min(fy, gy)
-    common = _gcd_p(f_univ, g_univ, ctx.p)
-    qf, rf = _divmod_p(f_univ, common, ctx.p)
-    qg, rg = _divmod_p(g_univ, common, ctx.p)
-    if rf or rg:
-        raise InternalInvariantError(
-            f"gcd {common} does not divide the residue forms {f_univ}, {g_univ} mod {ctx.p}"
-        )
-    deg = 2 - y_common - (len(common) - 1)
-
-    def homogenize(univ: list) -> tuple:
-        # leading-first; padding restores the residual power of Y
-        pad = deg + 1 - len(univ)
-        return tuple([0] * pad + list(reversed(univ)))
-
-    return ResidueMap(homogenize(qf), homogenize(qg), ctx)
+    (a0, a1, a2), (b0, b1, b2) = ftilde, gtilde
+    w = ((a1 * b2 - a2 * b1) % p, (a2 * b0 - a0 * b2) % p, (a0 * b1 - a1 * b0) % p)
+    if not any(w):
+        i = next(i for i, c in enumerate(ftilde) if c)
+        return ResidueMap((ftilde[i],), (gtilde[i],), ctx)
+    if (w[1] * w[1] - w[0] * w[2]) % p:
+        return ResidueMap(ftilde, gtilde, ctx)
+    r = _common_root(w, p)
+    if r is None:
+        (l0, l1), qf, qg = (0, 1), (a1, a2), (b1, b2)
+    else:
+        (l0, l1), qf, qg = (1, -r), (a0, (a1 + r * a0) % p), (b0, (b1 + r * b0) % p)
+    for form, (q0, q1) in ((ftilde, qf), (gtilde, qg)):
+        if any((u - c) % p for u, c in zip((l0 * q0, l0 * q1 + l1 * q0, l1 * q1), form)):
+            raise InternalInvariantError(
+                f"({l0}X + {l1}Y)({q0}X + {q1}Y) is not the residue form {form} mod {p}"
+            )
+    return ResidueMap(qf, qg, ctx)
 
 
 def classify_residue(residue: ResidueMap) -> ResidueClass:

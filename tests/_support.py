@@ -80,6 +80,77 @@ def trial_division_is_prime(n: int) -> bool:
     return True
 
 
+# mod-p polynomial helpers; dense low-to-high int lists, [] = zero
+
+
+def _trim_p(f: list) -> list:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _divmod_p(f: list, g: list, p: int) -> tuple:
+    rem = [c % p for c in f]
+    _trim_p(rem)
+    dg = len(g) - 1
+    lead_inv = pow(g[-1], -1, p)
+    quot = [0] * max(len(rem) - dg, 0)
+    while len(rem) - 1 >= dg and rem:
+        shift = len(rem) - 1 - dg
+        coeff = rem[-1] * lead_inv % p
+        quot[shift] = coeff
+        for i, c in enumerate(g):
+            rem[shift + i] = (rem[shift + i] - coeff * c) % p
+        _trim_p(rem)
+    return quot, rem
+
+
+def _gcd_p(f: list, g: list, p: int) -> list:
+    a = _trim_p([c % p for c in f])
+    b = _trim_p([c % p for c in g])
+    while b:
+        _, r = _divmod_p(a, b, p)
+        a, b = b, r
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
+
+
+def _dehomogenize(form: tuple) -> tuple:
+    """(low-to-high univariate part, power of Y split off)."""
+    low_to_high = list(reversed(form))
+    univ = _trim_p(list(low_to_high))
+    if not univ:
+        return [], None
+    y_power = len(form) - len(univ)
+    return univ, y_power
+
+
+def residue_forms_oracle(fbar: tuple, gbar: tuple, p: int) -> tuple:
+    """(F, G) of the residue map of two binary quadratic forms over F_p
+    (coefficients leading-first in X), by the Euclidean algorithm in
+    F_p[X] on the dehomogenized forms: the common factor is the gcd times
+    the shared power of Y."""
+    f_univ, fy = _dehomogenize(fbar)
+    g_univ, gy = _dehomogenize(gbar)
+    if not f_univ:
+        return (0,), (1,)
+    if not g_univ:
+        return (1,), (0,)
+    common = _gcd_p(f_univ, g_univ, p)
+    qf, rf = _divmod_p(f_univ, common, p)
+    qg, rg = _divmod_p(g_univ, common, p)
+    assert not rf and not rg
+    deg = 2 - min(fy, gy) - (len(common) - 1)
+
+    def homogenize(univ: list) -> tuple:
+        # leading-first; padding restores the residual power of Y
+        return tuple([0] * (deg + 1 - len(univ)) + list(reversed(univ)))
+
+    return homogenize(qf), homogenize(qg)
+
+
 def esf3(l1, l2, l3):
     """Elementary symmetric functions of three rationals."""
     l1, l2, l3 = Fraction(l1), Fraction(l2), Fraction(l3)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from quadberk import (
     sigma_invariants,
 )
 import quadberk
-from quadberk.cli import run
+from quadberk.cli import fmt_rat, run
 from _support import rand_lift
 
 
@@ -28,6 +29,26 @@ def test_parse_map_examples():
     assert parse_map("z + 1/5 + 1/z") == Lift(1, Fraction(1, 5), 1, 0, 1, 0)
     with pytest.raises(DegreeError):
         parse_map("z^3/(z+1)")
+
+
+@pytest.mark.parametrize("text, pos", [("z²+1", 1), ("z^2+٣", 4), ("１z^2", 0), ("z^2 + ٣/z", 6)])
+def test_parse_map_reads_ascii_digits_only(text, pos):
+    with pytest.raises(MapSyntaxError) as excinfo:
+        parse_map(text)
+    assert excinfo.value.pos == pos
+
+
+@pytest.mark.parametrize("center, rexp", [("٣", "1"), ("3", "１"), ("1/٣", "0"), ("３.5", "0")])
+def test_cli_rationals_read_ascii_only(capsys, center, rexp):
+    assert run(["ordres", "-p", "5", "--map", "z^2", "--center", center, "--rexp", rexp]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid rational" in captured.err
+
+
+@pytest.mark.parametrize("text", ["3", "-3", "+3", " 3 ", "1/3", "-1/3", "1.5", "1e2", "-47e-2"])
+def test_cli_rationals_in_every_ascii_form(capsys, text):
+    assert run(["ordres", "-p", "5", "--map", "z^2", f"--center={text}", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["point"]["center"] == fmt_rat(Fraction(text))
 
 
 def test_parse_map_syntax_and_degree_errors():
@@ -195,6 +216,33 @@ def test_cli_sweep_form_a_with_range(capsys):
     assert len(rows) == 25
     assert rows[0]["l1"] == "1/5" and rows[0]["stratum"] == "W3"
     assert rows[-1]["l1"] == "5" and rows[-1]["stratum"] == "W1"
+
+
+@pytest.mark.parametrize("ranges", [
+    ["--form", "A", "--l1", "0:1000000000"],
+    ["--form", "A", "--l1", "0:1:1/1000000"],
+    ["--form", "A", "--l1", ",".join(map(str, range(100_001)))],
+    ["--form", "B", "--l1", "0:99", "--l2", ",".join(map(str, range(1001)))],
+    ["--form", "B", "--l1", "0:999", "--l2", "0:999"],
+])
+def test_cli_sweep_refuses_oversized_ranges_at_once(capsys, ranges):
+    # counted before a single value is built
+    start = time.perf_counter()
+    assert run(["sweep", "-p", "5", *ranges, "--json"]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "at most 100000" in captured.err
+
+
+def test_cli_sweep_range_ends_and_empty_range(capsys):
+    # a range holds start + i*step up to and including stop; stop < start
+    # and an empty list give no rows
+    code, payload = _run_json(capsys, ["sweep", "-p", "5", "--form", "A", "--l1", "1/3:2:1/2", "--json"])
+    assert code == 0 and [row["l1"] for row in payload["results"]] == ["1/3", "5/6", "4/3", "11/6"]
+    for form in (["--form", "A", "--l1"], ["--form", "B", "--l2", "2", "--l1"]):
+        for empty in ("1:0", ""):
+            code, payload = _run_json(capsys, ["sweep", "-p", "5", *form, empty, "--json"])
+            assert code == 0 and payload["results"] == []
 
 
 def test_cli_sweep_degenerate_entry(capsys):
@@ -422,7 +470,9 @@ EXTREME_MAPS = [
 map_texts = st.one_of(
     st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=30),
     st.sampled_from(EXTREME_MAPS),
-    st.lists(st.sampled_from(EXTREME_MAPS + ["z", "z^2", "1/5", "+", "-", "*", "/", "(", ")", "^2"]),
+    # "²", "٣" and "１" are digits to str.isdigit() but not to the grammar
+    st.lists(st.sampled_from(EXTREME_MAPS + ["z", "z^2", "1/5", "+", "-", "*", "/", "(", ")", "^2",
+                                            "²", "٣", "１"]),
              max_size=6).map("".join),
 )
 primes = st.one_of(

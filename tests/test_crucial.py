@@ -204,6 +204,18 @@ def test_verify_requires_normal_form_or_centers():
     assert report.residue_class.kind is ResidueKind.REPELLING
 
 
+def test_verify_with_centers_dumps_the_centers(monkeypatch):
+    from quadberk import Lift, ResidueClass, crucial
+
+    monkeypatch.setattr(crucial, "classify_residue", lambda residue: ResidueClass(ResidueKind.MOVED))
+    plus_one = Lift(1, 0, 1, 0, 0, 1)
+    with pytest.raises(ConsistencyFailure) as exc_info:
+        verify_consistency(plus_one, PrimeCtx(7), centers=[0, 1])
+    details = exc_info.value.details
+    assert list(details) == ["lift", "p", "centers", "xi", "stratum", "residue_class"]
+    assert details["centers"] == [0, 1] and details["xi"] == TypeIIPoint(0, 0)
+
+
 def test_identify_normal_form():
     assert identify_normal_form(multiple_fixed_lift(Fraction(2, 7))) == (
         "multiple",

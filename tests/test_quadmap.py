@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from quadberk import (
     DegenerateMapError,
+    InternalInvariantError,
     Lift,
     Mobius,
     NonIntegralRadiusError,
@@ -168,6 +169,17 @@ def test_ord_res_at_examples():
 def test_ord_res_at_rejects_half_integer():
     with pytest.raises(NonIntegralRadiusError):
         ord_res_at(Lift(1, 0, 0, 0, 0, 1), TypeIIPoint(0, Fraction(1, 2)), P5)
+
+
+def test_ord_res_at_checks_its_routes(monkeypatch):
+    # the check must survive python -O, so it may not be an assert
+    from quadberk import quadmap
+
+    # a mu one too large moves the formula route by -4 and leaves the
+    # resultant of the normalized conjugate as it is
+    monkeypatch.setattr(quadmap, "normalize", lambda lift, ctx: (lift, 1))
+    with pytest.raises(InternalInvariantError):
+        ord_res_at(Lift(1, 0, 0, 0, 0, 1), gauss_point(), P5)
 
 
 def test_ord_res_nonnegative_random():

@@ -1,23 +1,28 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from quadberk import (
+    DegenerateMapError,
     InternalInvariantError,
     Lift,
+    Mobius,
     NonIntegralRadiusError,
     PrimeCtx,
     ResidueKind,
     ResidueMap,
     TypeIIPoint,
     classify_residue,
+    conjugate,
     distinct_fixed_lift,
     gauss_point,
+    normalize,
     ord_res_at,
     reduce_at,
     reduce_residue,
 )
-from _support import rand_lift, rand_rat, rand_unit
+from _support import rand_lift, rand_rat, rand_unit, residue_forms_oracle
 
 P3, P5 = PrimeCtx(3), PrimeCtx(5)
 
@@ -57,14 +62,51 @@ def test_reduce_at_moved_case():
     assert classify_residue(residue).kind is ResidueKind.MOVED
 
 
-def test_reduce_at_checks_gcd_division(monkeypatch):
+def test_reduce_at_checks_common_factor(monkeypatch):
     # the check must survive python -O, so it may not be an assert
     from quadberk import reduction
 
-    # a "gcd" z + 1 that divides neither z^2 nor 1
-    monkeypatch.setattr(reduction, "_gcd_p", lambda f, g, p: [1, 1])
+    # the residue pair (z^2 + z)/z shares the factor X; a "common root" at
+    # infinity claims the factor Y, which divides neither form
+    monkeypatch.setattr(reduction, "_common_root", lambda w, p: None)
     with pytest.raises(InternalInvariantError):
-        reduce_at(Lift(1, 0, 0, 0, 0, 1), gauss_point(), P5)
+        reduce_at(Lift(1, Fraction(1, 5), 1, 0, 1, 0), TypeIIPoint(0, -1), P5)
+
+
+def _lift_reducing_to(forms, p):
+    """An integer lift congruent to the six residues mod p, nondegenerate
+    over Q; a unit coefficient keeps it normalized."""
+    for shift in product((0, p), repeat=6):
+        try:
+            return Lift(*(c + s for c, s in zip(forms, shift)))
+        except DegenerateMapError:
+            continue
+    raise AssertionError(f"no nondegenerate lift of {forms} mod {p}")
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_reduce_at_matches_euclid_oracle_on_every_pair(p):
+    ctx = PrimeCtx(p)
+    for forms in product(range(p), repeat=6):
+        if not any(forms):
+            continue
+        residue = reduce_at(_lift_reducing_to(forms, p), gauss_point(), ctx)
+        expected = residue_forms_oracle(forms[:3], forms[3:], p)
+        assert (residue.ftilde, residue.gtilde) == expected, forms
+
+
+def test_reduce_at_matches_euclid_oracle_on_random_lifts():
+    rng = random.Random(44)
+    for _ in range(1500):
+        L = rand_lift(rng)
+        ctx = PrimeCtx(rng.choice((2, 3, 5, 7, 13)))
+        point = TypeIIPoint(rand_rat(rng, -4, 4, 3), rng.randint(-3, 3))
+        gamma = Mobius.affine(Fraction(ctx.p) ** int(point.radius_exp), point.center)
+        conj, _ = normalize(conjugate(L, gamma), ctx)
+        fbar = tuple(reduce_residue(c, ctx) for c in conj.f_coeffs)
+        gbar = tuple(reduce_residue(c, ctx) for c in conj.g_coeffs)
+        residue = reduce_at(L, point, ctx)
+        assert (residue.ftilde, residue.gtilde) == residue_forms_oracle(fbar, gbar, ctx.p)
 
 
 def test_reduce_at_rejects_half_integer():
