@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from enum import Enum
 from fractions import Fraction
@@ -65,10 +66,20 @@ def _detail_json(value):
     return repr(value)
 
 
+#: largest decimal exponent parse_rat reads: Fraction() expands 1e3000000 in full
+_MAX_EXPONENT = 10_000
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*$")
+
+
 def parse_rat(text: str) -> Fraction:
-    """A rational written in ASCII, in any form Fraction() reads."""
+    """An ASCII rational in any form Fraction() reads, exponent <= _MAX_EXPONENT."""
     if not text.isascii():
         raise QuadberkError(f"invalid rational {text!r}: not ASCII")
+    exponent = _EXPONENT.search(text)
+    # int() reads one digit more than the cap has, which decides
+    digits = exponent[1].replace("_", "").lstrip("0")[: len(str(_MAX_EXPONENT)) + 1] if exponent else ""
+    if int(digits or 0) > _MAX_EXPONENT:
+        raise QuadberkError(f"invalid rational {text!r}: exponent above {_MAX_EXPONENT} in magnitude")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

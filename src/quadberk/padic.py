@@ -71,12 +71,25 @@ class PrimeCtx(Value):
         return f"PrimeCtx({self.p})"
 
 
+def _strip(n: int, q: int) -> tuple:
+    # (n / q^k, k) for the largest k with q^k | n, dividing by q, q^2, q^4, ...
+    # on the way in and by q once more where needed on the way out
+    d, r = divmod(n, q)
+    if r:
+        return n, 0
+    d, k = _strip(d, q * q)
+    e, r = divmod(d, q)
+    return (d, 2 * k + 1) if r else (e, 2 * k + 2)
+
+
 def _int_ord(n: int, p: int) -> int:
-    # n != 0
+    # n != 0.  One factor of p at a time up to four, then _strip (O(log v) divisions)
     v = 0
     while n % p == 0:
         n //= p
         v += 1
+        if v == 4:
+            return v + _strip(n, p)[1]
     return v
 
 

@@ -30,7 +30,7 @@ from .errors import (
     SingularMatrixError,
     UnboundedProfileError,
 )
-from .padic import PrimeCtx, Rat, vp
+from .padic import PrimeCtx, Rat, _int_ord, vp
 from .value import Value, rat
 
 
@@ -163,9 +163,17 @@ def normalize(lift: Lift, ctx: PrimeCtx) -> tuple:
     Returns (scaled lift, mu); the scaled lift has min(ord F, ord G) = 0.
     """
     mu = min(vp(c, ctx) for c in lift.coeffs if c != 0)
-    if mu == 0:
-        return lift, 0
-    return lift.scaled(Fraction(ctx.p) ** (-mu)), mu
+    return (lift.scaled(Fraction(ctx.p) ** (-mu)) if mu else lift), mu
+
+
+def _conjugate_ints(ints, A: int, B: int, C: int, D: int) -> list:
+    """Integer coefficients of [D*F - B*G, A*G - C*F](AX + BY, CX + DY), F and G integral."""
+    # row i holds the X^(2-i) Y^i coefficients of U^2, U*V and V^2
+    rows = ((A * A, A * C, C * C), (2 * A * B, A * D + B * C, 2 * C * D), (B * B, B * D, D * D))
+    a0, a1, a2, b0, b1, b2 = ints
+    fc = [u * a0 + w * a1 + v * a2 for u, w, v in rows]
+    gc = [u * b0 + w * b1 + v * b2 for u, w, v in rows]
+    return [D * f - B * g for f, g in zip(fc, gc)] + [A * g - C * f for f, g in zip(fc, gc)]
 
 
 def conjugate(lift: Lift, g: Mobius) -> Lift:
@@ -176,23 +184,10 @@ def conjugate(lift: Lift, g: Mobius) -> Lift:
     is applied.  With the lift scaled to integers by L and the matrix by M,
     every output coefficient is an integer times 1/(L*M^3).
     """
-    coeffs, L = _integral(lift.coeffs)
+    ints, L = _integral(lift.coeffs)
     (A, B, C, D), M = _integral((g.A, g.B, g.C, g.D))
-
-    def compose(c0, c1, c2):
-        # coefficients of c0*U^2 + c1*U*V + c2*V^2 with U = AX+BY, V = CX+DY
-        return (
-            c0 * A * A + c1 * A * C + c2 * C * C,
-            2 * c0 * A * B + c1 * (A * D + B * C) + 2 * c2 * C * D,
-            c0 * B * B + c1 * B * D + c2 * D * D,
-        )
-
-    fc = compose(*coeffs[:3])
-    gc = compose(*coeffs[3:])
     scale = L * M**3
-    new_f = (Fraction(D * fc[i] - B * gc[i], scale) for i in range(3))
-    new_g = (Fraction(-C * fc[i] + A * gc[i], scale) for i in range(3))
-    return Lift(*new_f, *new_g)
+    return Lift(*(Fraction(n, scale) for n in _conjugate_ints(ints, A, B, C, D)))
 
 
 class PLFunction(Value):
@@ -298,13 +293,21 @@ def _coefficient_lines(lift: Lift, center: Rat) -> list:
 
 def _normalized_conjugate(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> tuple:
     """(normalized conjugate of the lift by z -> center + p^m z, its mu) at a
-    type II point with integer radius exponent m."""
+    type II point with integer radius exponent m, in one integer pass: the
+    lift over L and the matrix (p^m, center; 0, 1) over M give numerators n
+    over L*M^3, mu = min vp(n) - vp(L*M^3), and coefficients n*p^(-mu)/(L*M^3),
+    exactly what normalize(conjugate(lift, Mobius.affine(p^m, center))) gives.
+    """
     if not point.is_integral:
-        raise NonIntegralRadiusError(
-            f"radius exponent {point.radius_exp} is not an integer"
-        )
-    gamma = Mobius.affine(Fraction(ctx.p) ** int(point.radius_exp), point.center)
-    return normalize(conjugate(lift, gamma), ctx)
+        raise NonIntegralRadiusError(f"radius exponent {point.radius_exp} is not an integer")
+    p, m = ctx.p, int(point.radius_exp)
+    ints, L = _integral(lift.coeffs)
+    num, den = point.center.numerator, point.center.denominator
+    A, B, M = (p**m * den, num, den) if m >= 0 else (den, num * p**-m, den * p**-m)
+    nums = _conjugate_ints(ints, A, B, 0, M)
+    mu = min(_int_ord(n, p) for n in nums if n) - _int_ord(L, p) - 3 * _int_ord(M, p)
+    up, scale = p ** max(-mu, 0), L * M**3 * p ** max(mu, 0)
+    return Lift(*(Fraction(n * up, scale) for n in nums)), mu
 
 
 def ord_res_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> int:

@@ -17,6 +17,7 @@ from quadberk import (
     distinct_fixed_lift,
     lambda3_from,
     multiple_fixed_lift,
+    normalize,
     reduce_residue,
     resultant_forms,
     vp,
@@ -66,6 +67,14 @@ def conjugate_oracle(lift: Lift, g: Mobius) -> Lift:
     new_f = tuple(D * fc[i] - B * gc[i] for i in range(3))
     new_g = tuple(-C * fc[i] + A * gc[i] for i in range(3))
     return Lift(*new_f, *new_g)
+
+
+def normalized_conjugate_oracle(lift: Lift, point, ctx) -> tuple:
+    """(lift, mu) of quadmap._normalized_conjugate by the two-step route it
+    replaced: the conjugate by z -> center + p^m z as a Mobius, composed in
+    Fraction arithmetic, then scaled by p^(-mu) by normalize."""
+    g = Mobius.affine(Fraction(ctx.p) ** int(point.radius_exp), point.center)
+    return normalize(conjugate_oracle(lift, g), ctx)
 
 
 def trial_division_is_prime(n: int) -> bool:

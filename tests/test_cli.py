@@ -51,6 +51,30 @@ def test_cli_rationals_in_every_ascii_form(capsys, text):
     assert json.loads(capsys.readouterr().out)["point"]["center"] == fmt_rat(Fraction(text))
 
 
+@pytest.mark.parametrize("text", ["1e3000000", "1E-3000000", "1.5e+3000000", "1e10001", "1e" + "9" * 50])
+@pytest.mark.parametrize("option", ["--center", "--rexp"])
+def test_cli_rationals_refuse_huge_exponents_at_once(capsys, option, text):
+    # refused before Fraction() expands the power of ten
+    start = time.perf_counter()
+    assert run(["ordres", "-p", "5", "--map", "z^2+1/5", f"{option}={text}", "--json"]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid rational" in captured.err and "exponent" in captured.err
+
+
+@pytest.mark.parametrize("text, center", [
+    ("1e3", "1000"),
+    ("2.5E-2", "1/40"),
+    ("-1/2", "-1/2"),
+    ("1e10000", "1" + "0" * 10000),
+    ("-1e-10_000", "-1/1" + "0" * 10000),
+])
+def test_cli_rationals_with_exponents_up_to_the_cap(capsys, text, center):
+    assert run(["ordres", "-p", "5", "--map", "z^2", f"--center={text}", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["point"]["center"] == center
+
+
 def test_parse_map_syntax_and_degree_errors():
     with pytest.raises(MapSyntaxError) as excinfo:
         parse_map("z^2 + $")

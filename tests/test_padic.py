@@ -82,6 +82,28 @@ def test_vp_random_sampling_against_reference():
                 assert lhs == lo
 
 
+@given(
+    st.sampled_from((2, 3, 5, 7, 13)),
+    st.integers(0, 5000),
+    st.integers(0, 5000),
+    st.integers(1, 2**64),
+    st.integers(1, 2**64),
+    st.sampled_from((1, -1)),
+)
+@settings(max_examples=200, deadline=None)
+def test_vp_of_high_powers_against_reference(p, v, w, u, t, sign):
+    # u * p^v / (t * p^w) for a unit part that may itself hold a few factors of p
+    x = Fraction(sign * u * p**v, t * p**w)
+    assert vp(x, PrimeCtx(p)) == int_vp(x, p)
+
+
+def test_vp_of_a_huge_power_is_quick():
+    start = time.perf_counter()
+    assert vp(7 * 5**100_000, P5) == 100_000
+    assert vp(Fraction(-3, 2**50_000), PrimeCtx(2)) == -50_000
+    assert time.perf_counter() - start < 1.0
+
+
 @given(rationals, rationals)
 def test_vp_ultrametric(x, y):
     if x == 0 or y == 0:

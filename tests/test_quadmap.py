@@ -3,7 +3,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadberk import (
@@ -27,12 +27,13 @@ from quadberk import (
     resultant_forms,
     vp,
 )
-from quadberk.quadmap import _integral
+from quadberk.quadmap import _integral, _normalized_conjugate
 from _support import (
     FractionSub,
     conjugate_oracle,
     int_vp,
     integral_oracle,
+    normalized_conjugate_oracle,
     perm_det,
     rand_lift,
     rand_mobius,
@@ -157,6 +158,31 @@ def test_resultant_transformation_law():
             )
 
 
+@st.composite
+def conjugation_cases(draw):
+    """A lift with 40-bit coefficients carrying powers of p, a point whose
+    center may have p in its denominator, m in [-12, 12], and p."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 13)))
+    power = st.integers(0, 6).map(lambda k: p**k)
+    rational = st.builds(
+        lambda n, a, d, b: Fraction(n * a, d * b),
+        st.integers(-(2**40), 2**40), power, st.integers(1, 2**40), power,
+    )
+    cs = draw(st.lists(st.one_of(st.just(Fraction(0)), rational), min_size=6, max_size=6))
+    assume(resultant_forms(tuple(cs[:3]), tuple(cs[3:])) != 0)
+    return Lift(*cs), TypeIIPoint(draw(rational), draw(st.integers(-12, 12))), PrimeCtx(p)
+
+
+@given(conjugation_cases())
+@settings(max_examples=300, deadline=None)
+def test_normalized_conjugate_matches_two_step_oracle(case):
+    lift, point, ctx = case
+    conj, mu = _normalized_conjugate(lift, point, ctx)
+    expected, expected_mu = normalized_conjugate_oracle(lift, point, ctx)
+    # equal as Fractions, coefficient by coefficient, not just projectively
+    assert conj.coeffs == expected.coeffs and type(mu) is int and mu == expected_mu
+
+
 def test_ord_res_at_examples():
     z2 = Lift(1, 0, 0, 0, 0, 1)
     assert ord_res_at(z2, gauss_point(), P5) == 0
@@ -177,7 +203,13 @@ def test_ord_res_at_checks_its_routes(monkeypatch):
 
     # a mu one too large moves the formula route by -4 and leaves the
     # resultant of the normalized conjugate as it is
-    monkeypatch.setattr(quadmap, "normalize", lambda lift, ctx: (lift, 1))
+    exact = quadmap._normalized_conjugate
+
+    def mu_one_too_large(lift, point, ctx):
+        conj, mu = exact(lift, point, ctx)
+        return conj, mu + 1
+
+    monkeypatch.setattr(quadmap, "_normalized_conjugate", mu_one_too_large)
     with pytest.raises(InternalInvariantError):
         ord_res_at(Lift(1, 0, 0, 0, 0, 1), gauss_point(), P5)
 
