@@ -76,10 +76,13 @@ def parse_rat(text: str) -> Fraction:
     if not text.isascii():
         raise QuadberkError(f"invalid rational {text!r}: not ASCII")
     exponent = _EXPONENT.search(text)
-    # int() reads one digit more than the cap has, which decides
-    digits = exponent[1].replace("_", "").lstrip("0")[: len(str(_MAX_EXPONENT)) + 1] if exponent else ""
-    if int(digits or 0) > _MAX_EXPONENT:
-        raise QuadberkError(f"invalid rational {text!r}: exponent above {_MAX_EXPONENT} in magnitude")
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        # more digits than the cap has is above it, whatever they are
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise QuadberkError(
+                f"invalid rational {text!r}: exponent above {_MAX_EXPONENT} in magnitude"
+            )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -60,8 +60,13 @@ class ConsistencyFailure(QuadberkError):
         self.details = details or {}
 
     def __str__(self) -> str:
-        lines = [f"  {key} = {value!r}" for key, value in self.details.items()]
-        return "\n".join([super().__str__(), *lines])
+        base = super().__str__()
+        if not self.details:
+            return base
+        lines = [base]
+        for key, value in self.details.items():
+            lines.append(f"  {key} = {value!r}")
+        return "\n".join(lines)
 
 
 class InternalInvariantError(QuadberkError):

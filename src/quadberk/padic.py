@@ -79,7 +79,9 @@ def _strip(n: int, q: int) -> tuple:
         return n, 0
     d, k = _strip(d, q * q)
     e, r = divmod(d, q)
-    return (d, 2 * k + 1) if r else (e, 2 * k + 2)
+    if r:
+        return d, 2 * k + 1
+    return e, 2 * k + 2
 
 
 def _int_ord(n: int, p: int) -> int:

@@ -163,7 +163,9 @@ def normalize(lift: Lift, ctx: PrimeCtx) -> tuple:
     Returns (scaled lift, mu); the scaled lift has min(ord F, ord G) = 0.
     """
     mu = min(vp(c, ctx) for c in lift.coeffs if c != 0)
-    return (lift.scaled(Fraction(ctx.p) ** (-mu)) if mu else lift), mu
+    if mu == 0:
+        return lift, 0
+    return lift.scaled(Fraction(ctx.p) ** (-mu)), mu
 
 
 def _conjugate_ints(ints, A: int, B: int, C: int, D: int) -> list:
@@ -299,14 +301,21 @@ def _normalized_conjugate(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> tupl
     exactly what normalize(conjugate(lift, Mobius.affine(p^m, center))) gives.
     """
     if not point.is_integral:
-        raise NonIntegralRadiusError(f"radius exponent {point.radius_exp} is not an integer")
+        raise NonIntegralRadiusError(
+            f"radius exponent {point.radius_exp} is not an integer"
+        )
     p, m = ctx.p, int(point.radius_exp)
     ints, L = _integral(lift.coeffs)
     num, den = point.center.numerator, point.center.denominator
-    A, B, M = (p**m * den, num, den) if m >= 0 else (den, num * p**-m, den * p**-m)
+    # the matrix (p^m, center; 0, 1) as integers (A, B; 0, M) over M
+    if m >= 0:
+        A, B, M = p**m * den, num, den
+    else:
+        A, B, M = den, num * p**-m, den * p**-m
     nums = _conjugate_ints(ints, A, B, 0, M)
     mu = min(_int_ord(n, p) for n in nums if n) - _int_ord(L, p) - 3 * _int_ord(M, p)
-    up, scale = p ** max(-mu, 0), L * M**3 * p ** max(mu, 0)
+    up = p ** max(-mu, 0)
+    scale = L * M**3 * p ** max(mu, 0)
     return Lift(*(Fraction(n * up, scale) for n in nums)), mu
 
 
