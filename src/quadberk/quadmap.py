@@ -4,8 +4,8 @@ A map phi = F/G of degree 2 is stored as the six rational coefficients of a
 homogeneous lift [F, G] with F = a0*X^2 + a1*X*Y + a2*Y^2 and
 G = b0*X^2 + b1*X*Y + b2*Y^2.  Nondegeneracy (Sylvester resultant nonzero)
 is enforced at construction.  The resultant and conjugation are computed on
-integers: coefficients are scaled by the lcm of their denominators, the
-closed-form integer identity is evaluated, and the scale is divided out once.
+integers: coefficients are scaled by the lcm of their denominators and one
+closed-form integer kernel is evaluated; ord_res_at stays on those integers.
 
 Type II points of the projective Berkovich line are written in the affine
 chart as a center a in Q together with a radius exponent m, standing for the
@@ -30,7 +30,7 @@ from .errors import (
     SingularMatrixError,
     UnboundedProfileError,
 )
-from .padic import PrimeCtx, Rat, _int_ord, vp
+from .padic import INF, PrimeCtx, Rat, _int_ord, vp
 from .value import Value, rat
 
 
@@ -42,24 +42,22 @@ def _integral(coeffs) -> tuple:
     return [f.numerator * (L // f.denominator) for f in fs], L
 
 
-def _integral_resultant(coeffs) -> tuple:
-    """(res, L): the closed form on the six coefficients scaled by L."""
-    (a0, a1, a2, b0, b1, b2), L = _integral(coeffs)
-    return (a0 * b2 - a2 * b0) ** 2 - (a0 * b1 - a1 * b0) * (a1 * b2 - a2 * b1), L
+def _resultant_ints(a0, a1, a2, b0, b1, b2) -> int:
+    """The Sylvester resultant's closed form on six integer coefficients."""
+    return (a0 * b2 - a2 * b0) ** 2 - (a0 * b1 - a1 * b0) * (a1 * b2 - a2 * b1)
 
 
 def resultant_forms(f: tuple, g: tuple) -> Fraction:
     """Sylvester resultant of two binary quadratic forms (raw, total).
 
-    Closed form (a0*b2 - a2*b0)^2 - (a0*b1 - a1*b0)*(a1*b2 - a2*b1) of the
-    4x4 Sylvester determinant, evaluated on the coefficients scaled to
-    integers by a common L and divided by L^4 (the resultant is of degree
-    2 in each form).  Zero output signals a common projective factor; Lift
-    construction rejects that case, but the raw operation accepts any
-    coefficients.
+    The closed form _resultant_ints of the 4x4 Sylvester determinant on the
+    coefficients scaled to integers by a common L, divided by L^4 (the
+    resultant is of degree 2 in each form).  Zero output signals a common
+    projective factor; Lift construction rejects that case, but the raw
+    operation accepts any coefficients.
     """
-    res, L = _integral_resultant((*f, *g))
-    return Fraction(res, L**4)
+    ints, L = _integral((*f, *g))
+    return Fraction(_resultant_ints(*ints), L**4)
 
 
 class Lift(Value):
@@ -69,7 +67,7 @@ class Lift(Value):
 
     def __init__(self, a0: Rat, a1: Rat, a2: Rat, b0: Rat, b1: Rat, b2: Rat):
         super().__init__(*map(rat, (a0, a1, a2, b0, b1, b2)))
-        if _integral_resultant(self.coeffs)[0] == 0:
+        if _resultant_ints(*_integral(self.coeffs)[0]) == 0:
             raise DegenerateMapError(
                 f"lift {self.coeffs} has resultant 0 (degenerate map)"
             )
@@ -293,12 +291,11 @@ def _coefficient_lines(lift: Lift, center: Rat) -> list:
     ]
 
 
-def _normalized_conjugate(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> tuple:
-    """(normalized conjugate of the lift by z -> center + p^m z, its mu) at a
-    type II point with integer radius exponent m, in one integer pass: the
-    lift over L and the matrix (p^m, center; 0, 1) over M give numerators n
-    over L*M^3, mu = min vp(n) - vp(L*M^3), and coefficients n*p^(-mu)/(L*M^3),
-    exactly what normalize(conjugate(lift, Mobius.affine(p^m, center))) gives.
+def _conjugate_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> tuple:
+    """(ints, L, nums, scale, v) at a point with integer m: the lift is ints
+    over L, the matrix (p^m, center; 0, 1) is (A, B; 0, M) over M, the
+    conjugate is nums over scale = L*M^3 and v = min vp(nums), so the
+    normalized conjugate is nums*p^(-mu)/scale with mu = v - vp(scale).
     """
     if not point.is_integral:
         raise NonIntegralRadiusError(
@@ -307,28 +304,29 @@ def _normalized_conjugate(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> tupl
     p, m = ctx.p, int(point.radius_exp)
     ints, L = _integral(lift.coeffs)
     num, den = point.center.numerator, point.center.denominator
-    # the matrix (p^m, center; 0, 1) as integers (A, B; 0, M) over M
     if m >= 0:
         A, B, M = p**m * den, num, den
     else:
         A, B, M = den, num * p**-m, den * p**-m
     nums = _conjugate_ints(ints, A, B, 0, M)
-    mu = min(_int_ord(n, p) for n in nums if n) - _int_ord(L, p) - 3 * _int_ord(M, p)
-    up = p ** max(-mu, 0)
-    scale = L * M**3 * p ** max(mu, 0)
-    return Lift(*(Fraction(n * up, scale) for n in nums)), mu
+    return ints, L, nums, L * M**3, min(_int_ord(n, p) for n in nums if n)
 
 
 def ord_res_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> int:
     """ordRes of the map at a type II point with integer radius exponent m.
 
-    Computed two ways - the Sylvester resultant of the normalized conjugate,
-    and the transformation formula vp(Res) + 6m - 4*min(ord F^gamma,
-    ord G^gamma) that ord_res_profile evaluates - and checked for agreement.
+    Computed two ways on the integers of _conjugate_at, building no Lift, and
+    checked for agreement: vp(Res(nums)) - 4v (Res is homogeneous of degree 4)
+    and the formula vp(Res(ints)) - 4*vp(L) + 6m - 4*mu of ord_res_profile.
     """
-    conj, mu = _normalized_conjugate(lift, point, ctx)
-    direct = vp(resultant(conj), ctx)
-    formula = vp(resultant(lift), ctx) + 6 * int(point.radius_exp) - 4 * mu
+    ints, L, nums, scale, v = _conjugate_at(lift, point, ctx)
+    p = ctx.p
+    res = _resultant_ints(*nums)
+    # a degenerate conjugate has order INF and fails the check
+    direct = _int_ord(res, p) - 4 * v if res else INF
+    mu = v - _int_ord(scale, p)
+    base = _int_ord(_resultant_ints(*ints), p) - 4 * _int_ord(L, p)
+    formula = base + 6 * int(point.radius_exp) - 4 * mu
     if direct != formula:
         raise InternalInvariantError(
             f"ordRes routes disagree at {point}: direct {direct}, formula {formula}"

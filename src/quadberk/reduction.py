@@ -15,8 +15,8 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import InternalInvariantError, QuadberkError
-from .padic import PrimeCtx, reduce_residue
-from .quadmap import Lift, TypeIIPoint, _normalized_conjugate
+from .padic import PrimeCtx, _strip
+from .quadmap import Lift, TypeIIPoint, _conjugate_at
 from .value import Value
 
 
@@ -82,9 +82,10 @@ def reduce_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> ResidueMap:
     """Residue map of the lift at a type II point with integer radius exponent.
 
     The normalized conjugate by z -> center + p^m z reduces mod p to
-    F~ = (a0, a1, a2) and G~ = (b0, b1, b2).  If one vanishes, the map is
-    the constant 0 or infinity; otherwise, with the cross product
-    w = (a1*b2 - a2*b1, a2*b0 - a0*b2, a0*b1 - a1*b0):
+    F~ = (a0, a1, a2) and G~ = (b0, b1, b2), each a numerator of
+    _conjugate_at over p^v times the inverse of the p-free part of L*M^3.
+    If one vanishes, the map is the constant 0 or infinity; otherwise, with
+    the cross product w = (a1*b2 - a2*b1, a2*b0 - a0*b2, a0*b1 - a1*b0):
 
       * w = 0: the forms are proportional; the map is the constant a_i/b_i
         at the first nonzero a_i;
@@ -93,10 +94,11 @@ def reduce_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> ResidueMap:
         dividing out X - r*Y leaves (a0, a1 + r*a0) and (b0, b1 + r*b0),
         dividing out Y leaves (a1, a2) and (b1, b2).
     """
-    conj, _ = _normalized_conjugate(lift, point, ctx)
+    _, _, nums, scale, v = _conjugate_at(lift, point, ctx)
     p = ctx.p
-    ftilde = tuple(reduce_residue(c, ctx) for c in conj.f_coeffs)
-    gtilde = tuple(reduce_residue(c, ctx) for c in conj.g_coeffs)
+    q, inv = p**v, pow(_strip(scale, p)[0], -1, p)
+    ftilde = tuple(n // q * inv % p for n in nums[:3])
+    gtilde = tuple(n // q * inv % p for n in nums[3:])
     if not any(ftilde):
         return ResidueMap((0,), (1,), ctx)
     if not any(gtilde):

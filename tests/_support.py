@@ -19,6 +19,7 @@ from quadberk import (
     multiple_fixed_lift,
     normalize,
     reduce_residue,
+    resultant,
     resultant_forms,
     vp,
 )
@@ -70,11 +71,21 @@ def conjugate_oracle(lift: Lift, g: Mobius) -> Lift:
 
 
 def normalized_conjugate_oracle(lift: Lift, point, ctx) -> tuple:
-    """(lift, mu) of quadmap._normalized_conjugate by the two-step route it
-    replaced: the conjugate by z -> center + p^m z as a Mobius, composed in
-    Fraction arithmetic, then scaled by p^(-mu) by normalize."""
+    """(lift, mu): the normalized conjugate by z -> center + p^m z by the
+    two-step route: the conjugate as a Mobius, composed in Fraction
+    arithmetic, then scaled by p^(-mu) by normalize."""
     g = Mobius.affine(Fraction(ctx.p) ** int(point.radius_exp), point.center)
     return normalize(conjugate_oracle(lift, g), ctx)
+
+
+def ord_res_at_oracle(lift: Lift, point, ctx) -> int:
+    """ordRes at a type II point with integer m on Fractions and Lifts: vp of
+    the resultant of the normalized conjugate Lift, checked against the
+    transformation formula vp(Res) + 6m - 4*mu."""
+    conj, mu = normalized_conjugate_oracle(lift, point, ctx)
+    direct = vp(resultant(conj), ctx)
+    assert direct == vp(resultant(lift), ctx) + 6 * int(point.radius_exp) - 4 * mu
+    return direct
 
 
 def trial_division_is_prime(n: int) -> bool:

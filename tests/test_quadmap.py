@@ -23,17 +23,19 @@ from quadberk import (
     normalize,
     ord_res_at,
     ord_res_profile,
+    parse_map,
     resultant,
     resultant_forms,
     vp,
 )
-from quadberk.quadmap import _integral, _normalized_conjugate
+from quadberk.quadmap import _conjugate_at, _integral
 from _support import (
     FractionSub,
     conjugate_oracle,
     int_vp,
     integral_oracle,
     normalized_conjugate_oracle,
+    ord_res_at_oracle,
     perm_det,
     rand_lift,
     rand_mobius,
@@ -177,10 +179,28 @@ def conjugation_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_normalized_conjugate_matches_two_step_oracle(case):
     lift, point, ctx = case
-    conj, mu = _normalized_conjugate(lift, point, ctx)
+    p = ctx.p
+    _, _, nums, scale, v = _conjugate_at(lift, point, ctx)
+    mu = v - int_vp(scale, p)
+    conj = tuple(Fraction(n, scale) * Fraction(p) ** -mu for n in nums)
     expected, expected_mu = normalized_conjugate_oracle(lift, point, ctx)
     # equal as Fractions, coefficient by coefficient, not just projectively
-    assert conj.coeffs == expected.coeffs and type(mu) is int and mu == expected_mu
+    assert conj == expected.coeffs and type(mu) is int and mu == expected_mu
+
+
+@given(conjugation_cases())
+@settings(max_examples=300, deadline=None)
+def test_ord_res_at_matches_fraction_oracle(case):
+    lift, point, ctx = case
+    assert ord_res_at(lift, point, ctx) == ord_res_at_oracle(lift, point, ctx)
+
+
+@given(conjugation_cases())
+@settings(max_examples=100, deadline=None)
+def test_ord_res_at_matches_profile(case):
+    lift, point, ctx = case
+    profile = ord_res_profile(lift, point.center, ctx)
+    assert ord_res_at(lift, point, ctx) == profile(point.radius_exp)
 
 
 def test_ord_res_at_examples():
@@ -201,17 +221,29 @@ def test_ord_res_at_checks_its_routes(monkeypatch):
     # the check must survive python -O, so it may not be an assert
     from quadberk import quadmap
 
-    # a mu one too large moves the formula route by -4 and leaves the
-    # resultant of the normalized conjugate as it is
-    exact = quadmap._normalized_conjugate
+    # a numerator multiplied by p inside the pass moves the direct route and
+    # leaves the formula route, whose min vp it does not change, as it is
+    exact = quadmap._conjugate_ints
 
-    def mu_one_too_large(lift, point, ctx):
-        conj, mu = exact(lift, point, ctx)
-        return conj, mu + 1
+    def first_times_p(ints, A, B, C, D):
+        nums = exact(ints, A, B, C, D)
+        return [nums[0] * 5, *nums[1:]]
 
-    monkeypatch.setattr(quadmap, "_normalized_conjugate", mu_one_too_large)
+    monkeypatch.setattr(quadmap, "_conjugate_ints", first_times_p)
     with pytest.raises(InternalInvariantError):
         ord_res_at(Lift(1, 0, 0, 0, 0, 1), gauss_point(), P5)
+
+
+def test_ord_res_at_builds_no_lift(monkeypatch):
+    from quadberk import quadmap
+
+    lift, xi = parse_map("z + 1/5 + 1/z"), TypeIIPoint(0, -1)
+
+    def no_lift(*args):
+        raise AssertionError("ord_res_at built a Lift")
+
+    monkeypatch.setattr(quadmap, "Lift", no_lift)
+    assert ord_res_at(lift, xi, P5) == 2
 
 
 def test_ord_res_nonnegative_random():
