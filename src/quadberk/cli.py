@@ -160,10 +160,11 @@ def cmd_ordres(args) -> int:
 
 def cmd_profile(args) -> int:
     ctx = PrimeCtx(args.p)
-    profile = ord_res_profile(parse_map(args.map), parse_rat(args.center), ctx)
+    lift, center = parse_map(args.map), parse_rat(args.center)
+    profile = ord_res_profile(lift, center, ctx)
     payload = {
         "schema": SCHEMA,
-        "center": fmt_rat(parse_rat(args.center)),
+        "center": fmt_rat(center),
         "breakpoints": [fmt_rat(b) for b in profile.breakpoints],
         "pieces": [
             {"slope": fmt_rat(s), "intercept": fmt_rat(b)}
@@ -192,8 +193,9 @@ def cmd_reduce_at(args) -> int:
 
 def cmd_find_crucial(args) -> int:
     ctx = PrimeCtx(args.p)
-    argmin, value = find_crucial_on_segment(parse_map(args.map), parse_rat(args.center), ctx)
-    payload = {"schema": SCHEMA, "center": fmt_rat(parse_rat(args.center))}
+    lift, center = parse_map(args.map), parse_rat(args.center)
+    argmin, value = find_crucial_on_segment(lift, center, ctx)
+    payload = {"schema": SCHEMA, "center": fmt_rat(center)}
     if isinstance(argmin, tuple):
         payload["argmin_interval"] = [fmt_rat(argmin[0]), fmt_rat(argmin[1])]
     else:

@@ -3,7 +3,8 @@
 The three fixed points of a quadratic rational map carry multipliers
 (lambda_1, lambda_2, lambda_3) that may be irrational even for a rational
 map; their elementary symmetric functions (sigma_1, sigma_2, sigma_3) are
-rational and are computed here exactly through a resultant construction.
+rational and are computed here exactly through a resultant construction,
+on the map itself or, when infinity is fixed, on one conjugate.
 The identity sigma_3 = sigma_1 - 2, a consequence of the rational
 fixed-point residue formula sum 1/(1 - lambda_i) = 1, is enforced on the
 result type and doubles as an internal cross-check.
@@ -86,15 +87,15 @@ def lambda3_from(lambda1: Rat, lambda2: Rat) -> Fraction:
     return (l1 + l2 - 2) / (l1 * l2 - 1)
 
 
-def _sigma_from_finite_fixed(lift: Lift) -> SigmaInvariants | None:
+def _sigma_from_finite_fixed(lift: Lift) -> SigmaInvariants:
     """sigma invariants when all fixed points are finite (b0 != 0).
 
     With P the cubic fixed-point polynomial, A(z) = f'(z) - z*g'(z) and
     B(z) = g(z), the multiplier at a fixed root alpha is A(alpha)/B(alpha);
     M(T) = Res_z(P, A - T*B) is then proportional to the cubic with the
     multipliers as roots.  M is recovered by interpolation from four
-    resultant evaluations.  Returns None on a degree drop in T (signals the
-    caller to retry with another conjugate).
+    resultant evaluations.  Its T^3 coefficient is -b0*Res(F, G), nonzero
+    here, so a degree other than 3 is an internal error.
     """
     a0, a1, a2 = lift.f_coeffs
     b0, b1, b2 = lift.g_coeffs
@@ -108,47 +109,32 @@ def _sigma_from_finite_fixed(lift: Lift) -> SigmaInvariants | None:
         points.append((Fraction(t), polyutil.resultant(p_fix, q_t, 3, 2)))
     m_poly = polyutil.lagrange_interpolate(points)
     if polyutil.degree(m_poly) != 3:
-        return None
+        raise InternalInvariantError(
+            f"multiplier polynomial of {lift} has degree {polyutil.degree(m_poly)}, not 3"
+        )
     lead = m_poly[3]
-    try:
-        return SigmaInvariants(-m_poly[2] / lead, m_poly[1] / lead, -m_poly[0] / lead)
-    except InternalInvariantError:
-        return None
+    return SigmaInvariants(-m_poly[2] / lead, m_poly[1] / lead, -m_poly[0] / lead)
 
 
-def _deterministic_shift(lift: Lift, start: int) -> tuple:
-    """Conjugate by z -> c + 1/z for the smallest c >= start that is not a
-    fixed point, so that infinity is no longer fixed.  Returns (conjugate, c)."""
+def _deterministic_shift(lift: Lift) -> Lift:
+    """The conjugate by z -> c + 1/z for the smallest c >= 0 that is not a
+    fixed point: it sends infinity to c, so infinity is no longer fixed."""
     poly = fixed_point_poly(lift)
-    c = start
+    c = 0
     while poly(c) == 0:
         c += 1
-    return conjugate(lift, Mobius(c, 1, 1, 0)), c
+    return conjugate(lift, Mobius(c, 1, 1, 0))
 
 
 def sigma_invariants(lift: Lift) -> SigmaInvariants:
     """Exact (sigma_1, sigma_2, sigma_3) of the map, conjugation-invariant.
 
-    If infinity is a fixed point (b0 = 0), the map is first conjugated by a
-    deterministic coordinate change moving all fixed points into the affine
-    line; the sigmas are unchanged by conjugation.  A second deterministic
-    conjugate is tried if the resultant construction degenerates; if both
-    routes fail or disagree an InternalInvariantError is raised rather than
-    guessing.
+    If infinity is a fixed point (b0 = 0), the map is first conjugated once
+    by a deterministic coordinate change moving all fixed points into the
+    affine line; the sigmas are unchanged by conjugation.  One computation
+    then suffices: the multiplier polynomial has degree 3 whenever b0 != 0
+    (see _sigma_from_finite_fixed), and sigma_3 = sigma_1 - 2 holds for every
+    map.  Both are still checked, and a failure of either raises
+    InternalInvariantError rather than guessing.
     """
-    if lift.b0 != 0:
-        primary = lift
-        retry_start = 0
-    else:
-        primary, c = _deterministic_shift(lift, 0)
-        retry_start = c + 1
-    sig = _sigma_from_finite_fixed(primary)
-    if sig is not None:
-        return sig
-    fallback, _ = _deterministic_shift(lift, retry_start)
-    sig = _sigma_from_finite_fixed(fallback)
-    if sig is None:
-        raise InternalInvariantError(
-            f"sigma computation degenerated on both conjugates of {lift}"
-        )
-    return sig
+    return _sigma_from_finite_fixed(lift if lift.b0 != 0 else _deterministic_shift(lift))

@@ -5,7 +5,10 @@ homogeneous lift [F, G] with F = a0*X^2 + a1*X*Y + a2*Y^2 and
 G = b0*X^2 + b1*X*Y + b2*Y^2.  Nondegeneracy (Sylvester resultant nonzero)
 is enforced at construction.  The resultant and conjugation are computed on
 integers: coefficients are scaled by the lcm of their denominators and one
-closed-form integer kernel is evaluated; ord_res_at stays on those integers.
+closed-form integer kernel is evaluated.  ord_res_at, ord_res_profile and
+reduction.reduce_at read the conjugate's six integer numerators off one
+pass, _conjugate_at; ord_res_at and ord_res_profile take vp(Res) from one
+helper, _res_ord.
 
 Type II points of the projective Berkovich line are written in the affine
 chart as a center a in Q together with a radius exponent m, standing for the
@@ -270,27 +273,6 @@ def minimize_profile(f: PLFunction) -> tuple:
     return m, f(m)
 
 
-def _coefficient_lines(lift: Lift, center: Rat) -> list:
-    """(k, c) pairs: the i-th coefficient of the conjugate of the lift by
-    z -> center + p^m z equals c * p^(k*m), so its valuation is
-    vp(c) + k*m, affine in m."""
-    a = rat(center)
-    a0, a1, a2 = lift.f_coeffs
-    b0, b1, b2 = lift.g_coeffs
-    f_at = a0 * a * a + a1 * a + a2
-    g_at = b0 * a * a + b1 * a + b2
-    fprime = 2 * a0 * a + a1
-    gprime = 2 * b0 * a + b1
-    return [
-        (2, a0 - a * b0),
-        (1, fprime - a * gprime),
-        (0, f_at - a * g_at),
-        (3, b0),
-        (2, gprime),
-        (1, g_at),
-    ]
-
-
 def _conjugate_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> tuple:
     """(ints, L, nums, scale, v) at a point with integer m: the lift is ints
     over L, the matrix (p^m, center; 0, 1) is (A, B; 0, M) over M, the
@@ -312,12 +294,17 @@ def _conjugate_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> tuple:
     return ints, L, nums, L * M**3, min(_int_ord(n, p) for n in nums if n)
 
 
+def _res_ord(ints, L: int, p: int) -> int:
+    """vp(Res) of the lift that is ints over L (Res is homogeneous of degree 4)."""
+    return _int_ord(_resultant_ints(*ints), p) - 4 * _int_ord(L, p)
+
+
 def ord_res_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> int:
     """ordRes of the map at a type II point with integer radius exponent m.
 
     Computed two ways on the integers of _conjugate_at, building no Lift, and
     checked for agreement: vp(Res(nums)) - 4v (Res is homogeneous of degree 4)
-    and the formula vp(Res(ints)) - 4*vp(L) + 6m - 4*mu of ord_res_profile.
+    and the formula vp(Res) + 6m - 4*mu of ord_res_profile.
     """
     ints, L, nums, scale, v = _conjugate_at(lift, point, ctx)
     p = ctx.p
@@ -325,8 +312,7 @@ def ord_res_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> int:
     # a degenerate conjugate has order INF and fails the check
     direct = _int_ord(res, p) - 4 * v if res else INF
     mu = v - _int_ord(scale, p)
-    base = _int_ord(_resultant_ints(*ints), p) - 4 * _int_ord(L, p)
-    formula = base + 6 * int(point.radius_exp) - 4 * mu
+    formula = _res_ord(ints, L, p) + 6 * int(point.radius_exp) - 4 * mu
     if direct != formula:
         raise InternalInvariantError(
             f"ordRes routes disagree at {point}: direct {direct}, formula {formula}"
@@ -339,11 +325,13 @@ def ord_res_profile(lift: Lift, center: Rat, ctx: PrimeCtx) -> PLFunction:
 
     Through the transformation formula the profile is
     vp(Res) + 6m - 4*min_i(vp(c_i) + k_i*m), a pointwise maximum of at most
-    four affine functions with slopes in {-6, -2, 2, 6}.
+    four affine functions with slopes in {-6, -2, 2, 6}.  Here c_i * p^(k_i*m)
+    is the i-th coefficient of the conjugate by z -> center + p^m z, with
+    k = (2, 1, 0, 3, 2, 1), and c_i is nums[i]/scale of _conjugate_at at m = 0.
     """
-    base = vp(resultant(lift), ctx)
-    lines = []
-    for k, c in _coefficient_lines(lift, center):
-        if c != 0:
-            lines.append((6 - 4 * k, base - 4 * vp(c, ctx)))
-    return PLFunction.upper_envelope(lines)
+    p = ctx.p
+    ints, L, nums, scale, _ = _conjugate_at(lift, TypeIIPoint(center, 0), ctx)
+    base = _res_ord(ints, L, p) + 4 * _int_ord(scale, p)
+    return PLFunction.upper_envelope(
+        (6 - 4 * k, base - 4 * _int_ord(n, p)) for k, n in zip((2, 1, 0, 3, 2, 1), nums) if n
+    )

@@ -14,6 +14,7 @@ from math import lcm
 from quadberk import (
     Lift,
     Mobius,
+    PLFunction,
     distinct_fixed_lift,
     lambda3_from,
     multiple_fixed_lift,
@@ -86,6 +87,53 @@ def ord_res_at_oracle(lift: Lift, point, ctx) -> int:
     direct = vp(resultant(conj), ctx)
     assert direct == vp(resultant(lift), ctx) + 6 * int(point.radius_exp) - 4 * mu
     return direct
+
+
+def ord_res_profile_oracle(lift: Lift, center, ctx) -> PLFunction:
+    """The ordRes profile on Fractions: the i-th coefficient of the conjugate
+    by z -> center + p^m z is c_i * p^(k_i*m), with each c_i composed in
+    Fraction arithmetic, and the profile is the upper envelope of the lines
+    m -> vp(Res) + 6m - 4*(vp(c_i) + k_i*m), vp(Res) of the Fraction resultant."""
+    a = Fraction(center)
+    a0, a1, a2 = lift.f_coeffs
+    b0, b1, b2 = lift.g_coeffs
+    f_at, g_at = a0 * a * a + a1 * a + a2, b0 * a * a + b1 * a + b2
+    fprime, gprime = 2 * a0 * a + a1, 2 * b0 * a + b1
+    lines = [
+        (2, a0 - a * b0),
+        (1, fprime - a * gprime),
+        (0, f_at - a * g_at),
+        (3, b0),
+        (2, gprime),
+        (1, g_at),
+    ]
+    base = vp(resultant(lift), ctx)
+    return PLFunction.upper_envelope(
+        (6 - 4 * k, base - 4 * vp(c, ctx)) for k, c in lines if c != 0
+    )
+
+
+def sigma_milnor_oracle(lift: Lift) -> tuple:
+    """(sigma1, sigma2, sigma3) by Milnor's closed form on the lift's
+    integers: sigma_i = N_i/Res with integer quartics N1, N2 and
+    N3 = N1 - 2*Res (Milnor, Experiment. Math. 2, 1993).  Valid whether or
+    not infinity is fixed."""
+    a0, a1, a2, b0, b1, b2 = integral_oracle(lift.coeffs)[0]
+    res = (a0 * b2 - a2 * b0) ** 2 - (a0 * b1 - a1 * b0) * (a1 * b2 - a2 * b1)
+    n1 = (
+        4 * a0**2 * a2 * b1 + 2 * a0**2 * b2**2 - a0 * a1**2 * b1 - 4 * a0 * a1 * a2 * b0
+        + 4 * a0 * a2 * b0 * b2 - 2 * a0 * a2 * b1**2 + a1**3 * b0 - 2 * a1**2 * b0 * b2
+        + 4 * a1 * a2 * b0 * b1 + 4 * a1 * b0 * b2**2 - a1 * b1**2 * b2 - 6 * a2**2 * b0**2
+        - 4 * a2 * b0 * b1 * b2 + a2 * b1**3
+    )
+    n2 = (
+        4 * a0**3 * a2 - a0**2 * a1**2 + 2 * a0**2 * a1 * b2 - 4 * a0**2 * a2 * b1
+        + 10 * a0 * a1 * a2 * b0 - a0 * a1 * b1 * b2 - 4 * a0 * a2 * b0 * b2
+        + 5 * a0 * a2 * b1**2 + 2 * a0 * b1 * b2**2 - 2 * a1**3 * b0 + 5 * a1**2 * b0 * b2
+        - a1**2 * b1**2 - 7 * a1 * a2 * b0 * b1 - 4 * a1 * b0 * b2**2 + 12 * a2**2 * b0**2
+        + 10 * a2 * b0 * b1 * b2 - 2 * a2 * b1**3 + 4 * b0 * b2**3 - b1**2 * b2**2
+    )
+    return tuple(Fraction(n, res) for n in (n1, n2, n1 - 2 * res))
 
 
 def trial_division_is_prime(n: int) -> bool:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadberk import (
@@ -17,7 +17,7 @@ from quadberk import (
     multiple_fixed_lift,
     sigma_invariants,
 )
-from _support import esf3, rand_lift, rand_mobius
+from _support import esf3, rand_lift, rand_mobius, sigma_milnor_oracle
 
 Z_SQUARED = Lift(1, 0, 0, 0, 0, 1)
 
@@ -115,3 +115,48 @@ def test_sigma_oracle_on_multiple_form(s):
     lam3 = 1 - s * s
     sig = sigma_invariants(multiple_fixed_lift(s))
     assert sig.as_tuple() == esf3(1, 1, lam3)
+
+
+coefficient = st.one_of(
+    st.just(Fraction(0)),
+    small_rat,
+    st.builds(Fraction, st.integers(-(2**40), 2**40), st.integers(1, 2**40)),
+)
+
+
+@st.composite
+def sigma_lifts(draw):
+    """A nondegenerate lift with small or 40-bit coefficients, any of them
+    possibly zero, and b0 = 0 (infinity fixed) in about half the draws."""
+    cs = draw(st.lists(coefficient, min_size=6, max_size=6))
+    if draw(st.booleans()):
+        cs[3] = Fraction(0)
+    a0, a1, a2, b0, b1, b2 = cs
+    assume((a0 * b2 - a2 * b0) ** 2 != (a0 * b1 - a1 * b0) * (a1 * b2 - a2 * b1))
+    return Lift(*cs)
+
+
+@given(sigma_lifts())
+@settings(max_examples=400, deadline=None)
+def test_sigma_matches_milnor_closed_form(lift):
+    assert sigma_invariants(lift).as_tuple() == sigma_milnor_oracle(lift)
+
+
+def test_sigma_checks_its_cubic(monkeypatch):
+    # the check must survive python -O, so it may not be an assert
+    from quadberk import polyutil
+
+    exact = polyutil.lagrange_interpolate
+
+    def quadratic_once(points):
+        # the true cubic on any later call: a retry would then succeed
+        nonlocal calls
+        calls += 1
+        cubic = exact(points)
+        return cubic[:3] if calls == 1 else cubic
+
+    monkeypatch.setattr(polyutil, "lagrange_interpolate", quadratic_once)
+    for lift in (distinct_fixed_lift(Fraction(1, 3), 2), Lift(1, 2, 3, 4, 5, 7)):
+        calls = 0
+        with pytest.raises(InternalInvariantError):
+            sigma_invariants(lift)

@@ -36,6 +36,7 @@ from _support import (
     integral_oracle,
     normalized_conjugate_oracle,
     ord_res_at_oracle,
+    ord_res_profile_oracle,
     perm_det,
     rand_lift,
     rand_mobius,
@@ -201,6 +202,26 @@ def test_ord_res_at_matches_profile(case):
     lift, point, ctx = case
     profile = ord_res_profile(lift, point.center, ctx)
     assert ord_res_at(lift, point, ctx) == profile(point.radius_exp)
+
+
+@given(conjugation_cases())
+@settings(max_examples=300, deadline=None)
+def test_ord_res_profile_matches_fraction_oracle(case):
+    lift, point, ctx = case
+    profile = ord_res_profile(lift, point.center, ctx)
+    # equal as PLFunctions: the same pieces, intercepts and breakpoints
+    assert profile == ord_res_profile_oracle(lift, point.center, ctx)
+
+
+def test_ord_res_profile_calls_no_resultant(monkeypatch):
+    from quadberk import quadmap
+
+    def no_resultant(*args):
+        raise AssertionError("ord_res_profile called quadmap.resultant")
+
+    monkeypatch.setattr(quadmap, "resultant", no_resultant)
+    profile = ord_res_profile(parse_map("z + 1/5 + 1/z"), 0, P5)
+    assert minimize_profile(profile) == (-1, 2)
 
 
 def test_ord_res_at_examples():
