@@ -17,7 +17,7 @@ import sys
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import log2, prod
 
 from .classifier import W2, multiplier_valuations, stratum
 from .crucial import (
@@ -146,13 +146,20 @@ def cmd_invariants(args) -> int:
     return 0
 
 
-def _point_from_args(args) -> TypeIIPoint:
-    return TypeIIPoint(parse_rat(args.center), parse_rat(args.rexp))
+#: most bits of p^|m| for --rexp m: ordres and reduce-at build that power
+_MAX_POWER_BITS = 2**18
+
+
+def _point_from_args(args, ctx: PrimeCtx) -> TypeIIPoint:
+    rexp = parse_rat(args.rexp)
+    if abs(rexp) > _MAX_POWER_BITS / log2(ctx.p):  # checked before p^|m| is built
+        raise QuadberkError(f"radius exponent {args.rexp} too large: p^|m| over {_MAX_POWER_BITS} bits")
+    return TypeIIPoint(parse_rat(args.center), rexp)
 
 
 def cmd_ordres(args) -> int:
     ctx = PrimeCtx(args.p)
-    point = _point_from_args(args)
+    point = _point_from_args(args, ctx)
     value = ord_res_at(parse_map(args.map), point, ctx)
     _emit(args, {"schema": SCHEMA, "point": _point_dict(point), "ord_res": fmt_rat(value)})
     return 0
@@ -177,7 +184,7 @@ def cmd_profile(args) -> int:
 
 def cmd_reduce_at(args) -> int:
     ctx = PrimeCtx(args.p)
-    point = _point_from_args(args)
+    point = _point_from_args(args, ctx)
     residue = reduce_at(parse_map(args.map), point, ctx)
     payload = {
         "schema": SCHEMA,

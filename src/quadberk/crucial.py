@@ -8,9 +8,9 @@ the minimal-resultant locus xi.  Two normal forms cover all quadratic maps:
 
 and for each this module predicts xi, its stratum and its residue class in
 closed form from the multiplier data.  An exact segment search over the
-piecewise-affine ordRes profile provides the independent route, and
-``verify_consistency`` asserts that prediction, sigma-specialization,
-residue classification and profile minimization all agree.
+piecewise-affine ordRes profile provides the independent route;
+``_complete_report`` checks every report against it and the residue class,
+and ``verify_consistency`` adds the sigma specialization.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .classifier import W1, W2, W3, W4, ReductionType, stratum
-from .errors import ConsistencyFailure, DegenerateMultipliersError, NotNormalFormError
+from .errors import ConsistencyFailure, NotNormalFormError
 from .invariants import lambda3_from, sigma_invariants
 from .padic import PrimeCtx, Rat, reduce_residue, vp
 from .quadmap import (
@@ -27,7 +27,7 @@ from .quadmap import (
     minimize_profile,
     ord_res_profile,
 )
-from .reduction import ResidueClass, ResidueKind, classify_residue, reduce_at
+from .reduction import ResidueKind, classify_residue, reduce_at
 from .value import Value, rat
 
 #: stratum tag <-> residue kind dictated by the stratification
@@ -62,31 +62,34 @@ class CrucialReport(Value):
     __slots__ = ("xi", "stratum", "residue_class", "residue_unavailable", "min_ord_res", "lift")
 
 
-def _check_stratum_residue(strat: ReductionType, rc: ResidueClass, context: dict) -> None:
-    # x_tilde is None on both sides except W2 <-> multiplicative, where the
-    # payloads are ints in [0, p) and must be equal
-    if rc.kind is not STRATUM_TO_RESIDUE[strat.tag] or strat.x_tilde != rc.x_tilde:
-        raise ConsistencyFailure(
-            f"stratum {strat!r} disagrees with residue class {rc!r}",
-            context | {"stratum": strat, "residue_class": rc},
-        )
-
-
 def _complete_report(lift: Lift, xi: TypeIIPoint, strat: ReductionType, ctx: PrimeCtx,
                      context: dict | None = None) -> CrucialReport:
-    profile = ord_res_profile(lift, xi.center, ctx)
-    min_val = profile(xi.radius_exp)
+    """The one place where xi meets the profile search: its argmin (an interval
+    fails) must be xi's radius exponent, its minimum is min_ord_res, and at
+    integer radius the residue class must match the stratum."""
+    dump = ({"lift": lift, "p": ctx.p} if context is None else context) | {"xi": xi}
+    argmin, min_val = find_crucial_on_segment(lift, xi.center, ctx)
+    if argmin != xi.radius_exp:
+        raise ConsistencyFailure(
+            f"profile argmin {argmin} differs from xi's radius exponent {xi.radius_exp}",
+            dump | {"argmin": argmin},
+        )
     if xi.is_integral:
         rc = classify_residue(reduce_at(lift, xi, ctx))
-        dump = {"lift": lift, "xi": xi, "p": ctx.p} if context is None else context | {"xi": xi}
-        _check_stratum_residue(strat, rc, dump)
+        # x_tilde is None on both sides except W2 <-> multiplicative, where the
+        # payloads are ints in [0, p) and must be equal
+        if rc.kind is not STRATUM_TO_RESIDUE[strat.tag] or strat.x_tilde != rc.x_tilde:
+            raise ConsistencyFailure(
+                f"stratum {strat!r} disagrees with residue class {rc!r}",
+                dump | {"stratum": strat, "residue_class": rc},
+            )
         return CrucialReport(xi, strat, rc, None, min_val, lift)
     reason = "half-integer radius exponent: no rational conjugating matrix"
     return CrucialReport(xi, strat, None, reason, min_val, lift)
 
 
 def predict_xi_multiple_fixed(s: Rat, ctx: PrimeCtx) -> CrucialReport:
-    """Closed-form xi for z + s + 1/z, where lambda3 = 1 - s^2.
+    """Closed-form xi for z + s + 1/z (lambda3 = 1 - s^2), checked by _complete_report.
 
     Integral lambda3 gives good reduction at the Gauss point; a repelling
     lambda3 pushes xi out to radius sqrt|lambda3| with additive reduction.
@@ -112,9 +115,9 @@ def _order_for_repelling(l1: Fraction, l2: Fraction, l3: Fraction, ctx: PrimeCtx
 
 
 def predict_xi_distinct_fixed(lambda1: Rat, lambda2: Rat, ctx: PrimeCtx) -> CrucialReport:
-    """Closed-form xi for (z^2 + l1*z)/(l2*z + 1).
+    """Closed-form xi for (z^2 + l1*z)/(l2*z + 1), checked by _complete_report.
 
-    Case tree on the multiplier triple (l1, l2, l3):
+    Case tree on the multiplier triple (l1, l2, l3); lambda3_from refuses l1*l2 = 1:
 
       * no repelling multiplier, l1*l2 - 1 a unit: xi is the Gauss point, W1;
       * no repelling multiplier, all three residues 1: xi is centered at -1
@@ -128,8 +131,6 @@ def predict_xi_distinct_fixed(lambda1: Rat, lambda2: Rat, ctx: PrimeCtx) -> Cruc
         the residue of l2 decides W2 / W3 / W4 as it is a unit != 1 / 1 / 0.
     """
     l1, l2 = rat(lambda1), rat(lambda2)
-    if l1 * l2 == 1:
-        raise DegenerateMultipliersError("lambda1 * lambda2 = 1 is degenerate")
     l3 = lambda3_from(l1, l2)
     has_repelling = min(vp(l1, ctx), vp(l2, ctx), vp(l3, ctx)) < 0
 
@@ -183,16 +184,14 @@ class ConsistencyReport(Value):
 
 
 def verify_consistency(lift: Lift, ctx: PrimeCtx, centers=None) -> ConsistencyReport:
-    """Compute xi by every available route and assert they agree.
+    """Compute xi by every available route and check that they agree.
 
-    For a recognized normal form: the closed-form prediction, the stratum
-    from the sigma specialization, the residue classification at xi, and
-    the argmin of the exact profile must match (W1 <-> repelling,
-    W2 <-> multiplicative with equal payloads, W3 <-> additive,
-    W4 <-> moved).  For other maps a list of segment centers must be
-    supplied; xi is then located by profile search and checked against the
-    stratum.  Raises ConsistencyFailure with a diagnostic dump on any
-    mismatch; that error firing on valid input means an implementation bug.
+    A normal form's closed-form prediction must give the sigma stratum;
+    other maps need segment centers, and xi is the best profile argmin
+    over them.  _complete_report checks xi against the profile argmin and
+    the residue class at xi against the stratum (W1 <-> repelling, W2 <->
+    multiplicative with equal payloads, W3 <-> additive, W4 <-> moved).
+    ConsistencyFailure on valid input means an implementation bug.
     """
     sigma = sigma_invariants(lift)
     strat_sigma = stratum(sigma, ctx)
@@ -202,22 +201,10 @@ def verify_consistency(lift: Lift, ctx: PrimeCtx, centers=None) -> ConsistencyRe
             report = predict_xi_multiple_fixed(form[1], ctx)
         else:
             report = predict_xi_distinct_fixed(form[1], form[2], ctx)
-        context = {"lift": lift, "p": ctx.p, "sigma": sigma.as_tuple()}
         if strat_sigma != report.stratum:
             raise ConsistencyFailure(
                 f"sigma specialization gives {strat_sigma}, prediction gives {report.stratum}",
-                context,
-            )
-        argmin, min_val = find_crucial_on_segment(report.lift, report.xi.center, ctx)
-        if not isinstance(argmin, Fraction):
-            raise ConsistencyFailure(
-                "profile minimizer is an interval for a normal form", context | {"argmin": argmin}
-            )
-        if argmin != report.xi.radius_exp or min_val != report.min_ord_res:
-            raise ConsistencyFailure(
-                f"profile argmin ({argmin}, {min_val}) differs from predicted xi "
-                f"({report.xi.radius_exp}, {report.min_ord_res})",
-                context,
+                {"lift": lift, "p": ctx.p, "sigma": sigma.as_tuple()},
             )
     elif not centers:
         raise NotNormalFormError(

@@ -328,6 +328,8 @@ def ord_res_profile(lift: Lift, center: Rat, ctx: PrimeCtx) -> PLFunction:
     four affine functions with slopes in {-6, -2, 2, 6}.  Here c_i * p^(k_i*m)
     is the i-th coefficient of the conjugate by z -> center + p^m z, with
     k = (2, 1, 0, 3, 2, 1), and c_i is nums[i]/scale of _conjugate_at at m = 0.
+    Both signs occur (with no line of one sign F and G would share the factor
+    X or Y), so minimize_profile returns a single point.
     """
     p = ctx.p
     ints, L, nums, scale, _ = _conjugate_at(lift, TypeIIPoint(center, 0), ctx)

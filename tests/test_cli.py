@@ -77,6 +77,24 @@ def test_cli_rationals_with_exponents_up_to_the_cap(capsys, text, center):
     assert json.loads(capsys.readouterr().out)["point"]["center"] == center
 
 
+@pytest.mark.parametrize("p, rexp", [("5", "1e10000"), ("5", "-1e10000"), ("2417851639229258349412301", "10000")])
+@pytest.mark.parametrize("command", ["ordres", "reduce-at"])
+def test_cli_refuses_radius_exponents_above_the_power_cap(capsys, command, p, rexp):
+    # refused before p^|m| is built: 10000 * log2(p) is about 810,000 bits here
+    start = time.perf_counter()
+    assert run([command, "-p", p, "--map", "z^2+1/5", f"--rexp={rexp}", "--json"]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"radius exponent {rexp}" in captured.err and "262144 bits" in captured.err
+
+
+def test_cli_answers_radius_exponents_under_the_power_cap(capsys):
+    # 5^100000 has about 232,000 bits
+    assert run(["ordres", "-p", "5", "--map", "z^2+1/5", "--rexp", "100000", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ord_res"] == "600004"
+
+
 def test_parse_map_syntax_and_degree_errors():
     with pytest.raises(MapSyntaxError) as excinfo:
         parse_map("z^2 + $")

@@ -216,6 +216,50 @@ def test_verify_with_centers_dumps_the_centers(monkeypatch):
     assert details["centers"] == [0, 1] and details["xi"] == TypeIIPoint(0, 0)
 
 
+def test_prediction_and_profile_search_checks(monkeypatch):
+    # a profile argmin one off the predicted xi fails in _complete_report,
+    # whether the prediction is called directly or through verify_consistency
+    from quadberk import crucial
+
+    search = crucial.find_crucial_on_segment
+
+    def off_by_one(lift, center, ctx):
+        argmin, value = search(lift, center, ctx)
+        return argmin + 1, value
+
+    monkeypatch.setattr(crucial, "find_crucial_on_segment", off_by_one)
+    calls = [
+        lambda: predict_xi_multiple_fixed(Fraction(1, 5), P5),
+        lambda: predict_xi_distinct_fixed(Fraction(1, 3), 2, P3),
+        lambda: verify_consistency(multiple_fixed_lift(Fraction(1, 5)), P5),
+        lambda: verify_consistency(distinct_fixed_lift(6, 6), P5),
+    ]
+    for call in calls:
+        with pytest.raises(ConsistencyFailure) as exc_info:
+            call()
+        details = exc_info.value.details
+        assert details["argmin"] == details["xi"].radius_exp + 1
+
+
+def test_normal_form_verify_builds_one_profile(monkeypatch):
+    from quadberk import crucial
+
+    profile, calls = crucial.ord_res_profile, []
+
+    def counted(*args):
+        calls.append(args)
+        return profile(*args)
+
+    monkeypatch.setattr(crucial, "ord_res_profile", counted)
+    cases = [(multiple_fixed_lift(Fraction(1, 5)), P5), (multiple_fixed_lift(1), P5),
+             (distinct_fixed_lift(Fraction(1, 3), 2), P3), (distinct_fixed_lift(3, Fraction(1, 9)), P3),
+             (distinct_fixed_lift(6, 6), P5), (distinct_fixed_lift(6, 121), P5)]
+    for lift, ctx in cases:
+        calls.clear()
+        verify_consistency(lift, ctx)
+        assert len(calls) == 1
+
+
 def test_identify_normal_form():
     assert identify_normal_form(multiple_fixed_lift(Fraction(2, 7))) == (
         "multiple",

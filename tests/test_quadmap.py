@@ -213,6 +213,31 @@ def test_ord_res_profile_matches_fraction_oracle(case):
     assert profile == ord_res_profile_oracle(lift, point.center, ctx)
 
 
+@st.composite
+def sparse_profile_cases(draw):
+    """A nondegenerate lift with small coefficients, most of them zero, a
+    center and p: the lifts closest to losing the lines of one sign."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 13)))
+    small = st.sampled_from((1, -1, 2, p, -p, Fraction(1, p), Fraction(3, p * p)))
+    cs = draw(st.lists(st.one_of(st.just(0), st.just(0), small), min_size=6, max_size=6))
+    assume(resultant_forms(tuple(cs[:3]), tuple(cs[3:])) != 0)
+    center = draw(st.sampled_from((0, 1, -1, p, Fraction(1, p), Fraction(-2, 3))))
+    return Lift(*cs), center, PrimeCtx(p)
+
+
+@given(st.one_of(conjugation_cases().map(lambda case: (case[0], case[1].center, case[2])),
+                 sparse_profile_cases()))
+@settings(max_examples=400, deadline=None)
+def test_profile_minimizer_is_one_point(case):
+    # with no line of one sign, F and G would share the factor X or Y
+    lift, center, ctx = case
+    profile = ord_res_profile(lift, center, ctx)
+    assert set(profile.slopes) <= {-6, -2, 2, 6}
+    assert profile.slopes[0] < 0 < profile.slopes[-1]
+    argmin, _ = minimize_profile(profile)
+    assert isinstance(argmin, Fraction)
+
+
 def test_ord_res_profile_calls_no_resultant(monkeypatch):
     from quadberk import quadmap
 
