@@ -202,12 +202,8 @@ def cmd_find_crucial(args) -> int:
     ctx = PrimeCtx(args.p)
     lift, center = parse_map(args.map), parse_rat(args.center)
     argmin, value = find_crucial_on_segment(lift, center, ctx)
-    payload = {"schema": SCHEMA, "center": fmt_rat(center)}
-    if isinstance(argmin, tuple):
-        payload["argmin_interval"] = [fmt_rat(argmin[0]), fmt_rat(argmin[1])]
-    else:
-        payload["argmin"] = fmt_rat(argmin)
-    payload["min_value"] = fmt_rat(value)
+    payload = {"schema": SCHEMA, "center": fmt_rat(center), "argmin": fmt_rat(argmin),
+               "min_value": fmt_rat(value)}
     _emit(args, payload)
     return 0
 

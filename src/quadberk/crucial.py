@@ -64,9 +64,9 @@ class CrucialReport(Value):
 
 def _complete_report(lift: Lift, xi: TypeIIPoint, strat: ReductionType, ctx: PrimeCtx,
                      context: dict | None = None) -> CrucialReport:
-    """The one place where xi meets the profile search: its argmin (an interval
-    fails) must be xi's radius exponent, its minimum is min_ord_res, and at
-    integer radius the residue class must match the stratum."""
+    """The one place where xi meets the profile search: its argmin must be
+    xi's radius exponent, its minimum is min_ord_res, and at integer radius
+    the residue class must match the stratum."""
     dump = ({"lift": lift, "p": ctx.p} if context is None else context) | {"xi": xi}
     argmin, min_val = find_crucial_on_segment(lift, xi.center, ctx)
     if argmin != xi.radius_exp:
@@ -219,11 +219,6 @@ def verify_consistency(lift: Lift, ctx: PrimeCtx, centers=None) -> ConsistencyRe
                 best = (rat(center), argmin, min_val)
         center, argmin, _ = best
         context = {"lift": lift, "p": ctx.p, "centers": list(centers)}
-        if not isinstance(argmin, Fraction):
-            raise ConsistencyFailure(
-                "profile minimizer is an interval (degenerate center choice)",
-                context | {"center": center, "argmin": argmin},
-            )
         report = _complete_report(lift, TypeIIPoint(center, argmin), strat_sigma, ctx, context)
     return ConsistencyReport(
         True,

@@ -43,7 +43,7 @@ class UnhandledResidueCaseError(QuadberkError):
 
 
 class UnboundedProfileError(QuadberkError):
-    """Piecewise-affine function whose minimizing set is unbounded."""
+    """Piecewise-affine function with no single minimizer."""
 
 
 class NotNormalFormError(QuadberkError):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import polyutil
 from .errors import DegenerateMultipliersError, InternalInvariantError
 from .padic import Rat
-from .quadmap import Lift, Mobius, conjugate
+from .quadmap import Lift, _conjugate_ints, _integral
 from .value import Value, rat
 
 
@@ -39,41 +39,6 @@ class SigmaInvariants(Value):
     def multiplier_cubic(self) -> list:
         """T^3 - sigma1*T^2 + sigma2*T - sigma3, coefficients leading-first."""
         return [Fraction(1), -self.sigma1, self.sigma2, -self.sigma3]
-
-
-class FixedPointPoly(Value):
-    """P(z) = F(z,1) - z*G(z,1), whose roots are the finite fixed points.
-
-    Degree 3 exactly when infinity is not fixed; a degree drop records
-    fixed points at infinity with multiplicity.
-    """
-
-    __slots__ = ("c3", "c2", "c1", "c0")
-
-    def __init__(self, c3: Rat, c2: Rat, c1: Rat, c0: Rat):
-        super().__init__(*map(rat, (c3, c2, c1, c0)))
-
-    def coefficients(self) -> tuple:
-        """Leading-first: (c3, c2, c1, c0)."""
-        return (self.c3, self.c2, self.c1, self.c0)
-
-    @property
-    def degree(self) -> int:
-        for d, c in zip((3, 2, 1, 0), self.coefficients()):
-            if c != 0:
-                return d
-        return -1
-
-    def __call__(self, z: Rat) -> Fraction:
-        z = rat(z)
-        return ((self.c3 * z + self.c2) * z + self.c1) * z + self.c0
-
-
-def fixed_point_poly(lift: Lift) -> FixedPointPoly:
-    """Fixed-point polynomial of the lift: -b0*z^3 + (a0-b1)*z^2 + (a1-b2)*z + a2."""
-    return FixedPointPoly(
-        -lift.b0, lift.a0 - lift.b1, lift.a1 - lift.b2, lift.a2
-    )
 
 
 def lambda3_from(lambda1: Rat, lambda2: Rat) -> Fraction:
@@ -118,12 +83,15 @@ def _sigma_from_finite_fixed(lift: Lift) -> SigmaInvariants:
 
 def _deterministic_shift(lift: Lift) -> Lift:
     """The conjugate by z -> c + 1/z for the smallest c >= 0 that is not a
-    fixed point: it sends infinity to c, so infinity is no longer fixed."""
-    poly = fixed_point_poly(lift)
+    fixed point (F(c, 1) != c*G(c, 1)): it sends infinity to c, so infinity
+    is no longer fixed.  Built on the lift's integers, a multiple of the
+    lift, which sigma does not see."""
+    ints, _ = _integral(lift.coeffs)
+    a0, a1, a2, b0, b1, b2 = ints
     c = 0
-    while poly(c) == 0:
+    while (a0 * c + a1) * c + a2 == c * ((b0 * c + b1) * c + b2):
         c += 1
-    return conjugate(lift, Mobius(c, 1, 1, 0))
+    return Lift(*_conjugate_ints(ints, c, 1, 1, 0))
 
 
 def sigma_invariants(lift: Lift) -> SigmaInvariants:

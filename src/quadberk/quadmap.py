@@ -253,21 +253,16 @@ class PLFunction(Value):
 
 
 def minimize_profile(f: PLFunction) -> tuple:
-    """Exact minimizer of a convex piecewise-affine function.
+    """Exact (argmin, min_value) of a convex piecewise-affine function, the
+    argmin a Fraction.
 
-    Returns (argmin, min_value) where argmin is a Fraction, or a closed
-    interval (lo, hi) when a zero-slope piece attains the minimum.  Raises
-    UnboundedProfileError when the minimizing set is unbounded (all slopes
-    of one sign, or a flat piece extending to infinity).
+    An ordRes profile has slopes in {-6, -2, 2, 6}, never 0, so its
+    minimizer is one point.  Raises UnboundedProfileError when there is no
+    single minimizer: all slopes of one sign, or a zero-slope piece.
     """
     slopes = f.slopes
-    if slopes[0] > 0 or slopes[-1] < 0:
-        raise UnboundedProfileError("all slopes share a sign; no interior minimum")
-    for i, s in enumerate(slopes):
-        if s == 0:
-            if i == 0 or i == len(slopes) - 1:
-                raise UnboundedProfileError("flat piece extends to infinity")
-            return (f.breakpoints[i - 1], f.breakpoints[i]), f.intercepts[i]
+    if slopes[0] > 0 or slopes[-1] < 0 or 0 in slopes:
+        raise UnboundedProfileError("no single minimizer: a zero slope, or all slopes of one sign")
     j = next(i for i, s in enumerate(slopes) if s > 0)
     m = f.breakpoints[j - 1]
     return m, f(m)
@@ -304,7 +299,10 @@ def ord_res_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> int:
 
     Computed two ways on the integers of _conjugate_at, building no Lift, and
     checked for agreement: vp(Res(nums)) - 4v (Res is homogeneous of degree 4)
-    and the formula vp(Res) + 6m - 4*mu of ord_res_profile.
+    and the formula vp(Res) + 6m - 4*mu of ord_res_profile.  A direct call
+    builds p^|m|, and long division is quadratic in its size: m = 300,000 at
+    p = 5 takes seconds, nearly all in divmod.  The CLI refuses
+    |m|*log2(p) > 2^18.
     """
     ints, L, nums, scale, v = _conjugate_at(lift, point, ctx)
     p = ctx.p

@@ -64,12 +64,6 @@ class ResidueMap(Value):
     def degree(self) -> int:
         return len(self.ftilde) - 1
 
-    def matrix(self) -> tuple:
-        """((alpha, beta), (gamma, delta)) for a degree-1 residue map."""
-        if self.degree != 1:
-            raise QuadberkError("residue matrix only defined in degree 1")
-        return (self.ftilde, self.gtilde)
-
 
 def _common_root(w: tuple, p: int):
     """r with X - r*Y the common factor of two forms with cross product
@@ -93,6 +87,9 @@ def reduce_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> ResidueMap:
       * otherwise the common root is (w1 : w2), or (1 : 0) when w2 = 0;
         dividing out X - r*Y leaves (a0, a1 + r*a0) and (b0, b1 + r*b0),
         dividing out Y leaves (a1, a2) and (b1, b2).
+
+    A direct call builds p^|m|, and long division is quadratic in its size,
+    as in ord_res_at; the CLI refuses |m|*log2(p) > 2^18.
     """
     _, _, nums, scale, v = _conjugate_at(lift, point, ctx)
     p = ctx.p
@@ -127,15 +124,15 @@ def classify_residue(residue: ResidueMap) -> ResidueClass:
     """Dynamical class of a residue map.
 
     Degree 2 is repelling, degree 0 a moved (constant) point.  Degree 1
-    maps are classified through the residue matrix M: scalar M is the
-    identity, tr(M)^2 = 4 det(M) is additive (unipotent up to scalar), and
-    otherwise the map is multiplicative with x = tr^2/det - 2.
+    maps are classified through the residue matrix M with rows F~ and G~:
+    scalar M is the identity, tr(M)^2 = 4 det(M) is additive (unipotent up
+    to scalar), and otherwise the map is multiplicative with x = tr^2/det - 2.
     """
     if residue.degree == 2:
         return ResidueClass(ResidueKind.REPELLING)
     if residue.degree == 0:
         return ResidueClass(ResidueKind.MOVED)
-    (alpha, beta), (gamma, delta) = residue.matrix()
+    (alpha, beta), (gamma, delta) = residue.ftilde, residue.gtilde
     p = residue.ctx.p
     if beta % p == 0 and gamma % p == 0 and alpha % p == delta % p:
         return ResidueClass(ResidueKind.IDENTITY)

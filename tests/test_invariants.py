@@ -12,7 +12,6 @@ from quadberk import (
     SigmaInvariants,
     conjugate,
     distinct_fixed_lift,
-    fixed_point_poly,
     lambda3_from,
     multiple_fixed_lift,
     sigma_invariants,
@@ -20,29 +19,6 @@ from quadberk import (
 from _support import esf3, rand_lift, rand_mobius, sigma_milnor_oracle
 
 Z_SQUARED = Lift(1, 0, 0, 0, 0, 1)
-
-
-def test_fixed_point_poly_squaring_map():
-    poly = fixed_point_poly(Z_SQUARED)
-    assert poly.coefficients() == (0, 1, -1, 0)  # z^2 - z, roots {0, 1}
-    assert poly.degree == 2  # infinity fixed: degree drop from 3
-    assert poly(0) == poly(1) == 0
-
-
-def test_fixed_point_poly_distinct_form():
-    # oracle: direct expansion; fixed points {0, (l1-1)/(l2-1)} plus infinity
-    l1, l2 = Fraction(1, 3), Fraction(2)
-    poly = fixed_point_poly(distinct_fixed_lift(l1, l2))
-    assert poly.coefficients() == (0, -1, Fraction(-2, 3), 0)
-    alpha3 = (l1 - 1) / (l2 - 1)
-    assert alpha3 == Fraction(-2, 3)
-    assert poly(0) == 0 and poly(alpha3) == 0
-
-
-def test_fixed_point_poly_multiple_form():
-    poly = fixed_point_poly(multiple_fixed_lift(Fraction(1, 5)))
-    assert poly.coefficients() == (0, 0, Fraction(1, 5), 1)
-    assert poly.degree == 1  # double fixed point at infinity
 
 
 def test_sigma_squaring_map():
@@ -62,6 +38,23 @@ def test_sigma_multiple_form():
     sig = sigma_invariants(multiple_fixed_lift(Fraction(1, 5)))
     assert sig.as_tuple() == esf3(1, 1, Fraction(24, 25))
     assert sig.as_tuple() == (Fraction(74, 25), Fraction(73, 25), Fraction(24, 25))
+
+
+def test_sigma_shift_builds_no_mobius(monkeypatch):
+    # infinity is fixed in all three: the shift runs on the integer kernel
+    from quadberk import quadmap
+
+    def refuse(*args):
+        raise AssertionError("sigma_invariants built a Mobius")
+
+    monkeypatch.setattr(quadmap.Mobius, "__init__", refuse)
+    assert sigma_invariants(Z_SQUARED).as_tuple() == (2, 0, 0)
+    assert sigma_invariants(multiple_fixed_lift(Fraction(1, 5))).as_tuple() == esf3(
+        1, 1, Fraction(24, 25)
+    )
+    assert sigma_invariants(distinct_fixed_lift(Fraction(1, 3), 2)).as_tuple() == esf3(
+        Fraction(1, 3), 2, -1
+    )
 
 
 def test_lambda3_examples():

@@ -66,6 +66,11 @@ def test_degenerate_lift_rejected():
         Lift(1, 0, 0, 0, 1, 0)  # [X^2, XY]
 
 
+def test_lift_scaled_by_zero_rejected():
+    with pytest.raises(ValueError):
+        Lift(1, 0, 0, 0, 0, 1).scaled(0)
+
+
 @given(st.tuples(*[small_rat] * 6))
 @settings(max_examples=300)
 def test_resultant_matches_permutation_oracle(cs):
@@ -357,11 +362,18 @@ def test_minimize_unbounded():
 
 
 def test_minimize_flat_interval():
+    # a zero-slope piece has no single minimizer; no ordRes profile has one
     f = PLFunction.upper_envelope([(-2, 0), (0, 2), (2, 0)])
-    argmin, value = minimize_profile(f)
-    assert argmin == (Fraction(-1), Fraction(1))
-    assert value == 2
     assert f(-1) == f(0) == f(1) == 2
+    with pytest.raises(UnboundedProfileError):
+        minimize_profile(f)
+
+
+def test_plfunction_rejects_unsorted_breakpoints():
+    # the pieces meet at both breakpoints and the slopes increase, so only
+    # the breakpoint-order check rejects this
+    with pytest.raises(ValueError, match="breakpoints must be strictly increasing"):
+        PLFunction((-2, 0, 2), (2, 0, 2), (1, -1))
 
 
 def test_envelope_dominates_lines():

@@ -29,14 +29,12 @@ from quadberk import (
     SigmaInvariants,
     TypeIIPoint,
     distinct_fixed_lift,
-    fixed_point_poly,
     gauss_point,
     newton_slopes,
     predict_xi_multiple_fixed,
     reduce_at,
     verify_consistency,
 )
-from quadberk.invariants import FixedPointPoly
 from quadberk.padic import NewtonPolygon
 from quadberk.value import Value, rat
 from _support import FractionSub
@@ -56,8 +54,6 @@ CASES = [
      "Fraction(1, 1)), breakpoints=(Fraction(-1, 4),))"),
     (lambda: SigmaInvariants(F(74, 25), F(3, 7), F(24, 25)),
      "SigmaInvariants(sigma1=Fraction(74, 25), sigma2=Fraction(3, 7), sigma3=Fraction(24, 25))"),
-    (lambda: fixed_point_poly(M5),
-     "FixedPointPoly(c3=Fraction(0, 1), c2=Fraction(0, 1), c1=Fraction(1, 5), c0=Fraction(1, 1))"),
     (lambda: PrimeCtx(5), "PrimeCtx(5)"),
     (lambda: newton_slopes([1, 5, F(1, 25)], P5),
      "NewtonPolygon(slopes=(Fraction(1, 1), Fraction(1, 1)))"),
@@ -91,7 +87,7 @@ def _fields(value) -> tuple:
 def test_every_value_class_is_covered():
     classes = {type(make()) for make, _ in CASES}
     assert classes == {
-        Lift, Mobius, TypeIIPoint, PLFunction, SigmaInvariants, FixedPointPoly, PrimeCtx,
+        Lift, Mobius, TypeIIPoint, PLFunction, SigmaInvariants, PrimeCtx,
         NewtonPolygon, ReductionType, ResidueClass, ResidueMap, CrucialReport, ConsistencyReport,
     }
     # no instance dict: the fields are the slots and nothing else
@@ -168,7 +164,6 @@ RAT_FACTORIES = {
     "Mobius": lambda x: Mobius(x, x, 0, x),
     "TypeIIPoint": lambda x: TypeIIPoint(x, x),
     "SigmaInvariants": lambda x: SigmaInvariants(x, x, x - 2),
-    "FixedPointPoly": lambda x: FixedPointPoly(x, x, x, x),
 }
 
 
