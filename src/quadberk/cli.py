@@ -297,6 +297,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) for ASCII text: int() alone also reads fullwidth,
+    Arabic-Indic and other Unicode digits."""
+    if not text.isascii():
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}: not ASCII")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadberk",
@@ -305,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_map=True):
-        p.add_argument("-p", dest="p", type=int, required=True, help="prime p")
+        p.add_argument("-p", dest="p", type=_ascii_int, required=True, help="prime p")
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
         if needs_map:
             p.add_argument("--map", required=True, help='map expression, e.g. "z + 1/5 + 1/z"')

@@ -3,8 +3,9 @@
 The three fixed points of a quadratic rational map carry multipliers
 (lambda_1, lambda_2, lambda_3) that may be irrational even for a rational
 map; their elementary symmetric functions (sigma_1, sigma_2, sigma_3) are
-rational and are computed here exactly through a resultant construction,
-on the map itself or, when infinity is fixed, on one conjugate.
+rational and are computed here exactly through a resultant construction
+on the lift's coefficients scaled to integers, or, when infinity is fixed,
+on one conjugate of those integers.
 The identity sigma_3 = sigma_1 - 2, a consequence of the rational
 fixed-point residue formula sum 1/(1 - lambda_i) = 1, is enforced on the
 result type and doubles as an internal cross-check.
@@ -52,8 +53,8 @@ def lambda3_from(lambda1: Rat, lambda2: Rat) -> Fraction:
     return (l1 + l2 - 2) / (l1 * l2 - 1)
 
 
-def _sigma_from_finite_fixed(lift: Lift) -> SigmaInvariants:
-    """sigma invariants when all fixed points are finite (b0 != 0).
+def _sigma_from_finite_fixed(lift: Lift, ints: list) -> SigmaInvariants:
+    """sigma invariants from the integers of a multiple of the lift, b0 != 0.
 
     With P the cubic fixed-point polynomial, A(z) = f'(z) - z*g'(z) and
     B(z) = g(z), the multiplier at a fixed root alpha is A(alpha)/B(alpha);
@@ -62,15 +63,14 @@ def _sigma_from_finite_fixed(lift: Lift) -> SigmaInvariants:
     resultant evaluations.  Its T^3 coefficient is -b0*Res(F, G), nonzero
     here, so a degree other than 3 is an internal error.
     """
-    a0, a1, a2 = lift.f_coeffs
-    b0, b1, b2 = lift.g_coeffs
+    a0, a1, a2, b0, b1, b2 = ints
     # low-to-high coefficient lists
     p_fix = polyutil.trim([a2, a1 - b2, a0 - b1, -b0])
-    a_poly = polyutil.trim([a1, 2 * a0 - b1, -2 * b0])
-    b_poly = polyutil.trim([b2, b1, b0])
+    a_poly = (a1, 2 * a0 - b1, -2 * b0)
+    b_poly = (b2, b1, b0)
     points = []
     for t in (0, 1, 2, 3):
-        q_t = polyutil.sub(a_poly, polyutil.scale(b_poly, t))
+        q_t = polyutil.trim([a - t * b for a, b in zip(a_poly, b_poly)])
         points.append((Fraction(t), polyutil.resultant(p_fix, q_t, 3, 2)))
     m_poly = polyutil.lagrange_interpolate(points)
     if polyutil.degree(m_poly) != 3:
@@ -81,28 +81,30 @@ def _sigma_from_finite_fixed(lift: Lift) -> SigmaInvariants:
     return SigmaInvariants(-m_poly[2] / lead, m_poly[1] / lead, -m_poly[0] / lead)
 
 
-def _deterministic_shift(lift: Lift) -> Lift:
-    """The conjugate by z -> c + 1/z for the smallest c >= 0 that is not a
-    fixed point (F(c, 1) != c*G(c, 1)): it sends infinity to c, so infinity
-    is no longer fixed.  Built on the lift's integers, a multiple of the
-    lift, which sigma does not see."""
-    ints, _ = _integral(lift.coeffs)
+def _deterministic_shift(ints: list) -> list:
+    """The conjugate, on integer coefficients, by z -> c + 1/z for the
+    smallest c >= 0 that is not a fixed point (F(c, 1) != c*G(c, 1)): it
+    sends infinity to c, so infinity is no longer fixed."""
     a0, a1, a2, b0, b1, b2 = ints
     c = 0
     while (a0 * c + a1) * c + a2 == c * ((b0 * c + b1) * c + b2):
         c += 1
-    return Lift(*_conjugate_ints(ints, c, 1, 1, 0))
+    return _conjugate_ints(ints, c, 1, 1, 0)
 
 
 def sigma_invariants(lift: Lift) -> SigmaInvariants:
     """Exact (sigma_1, sigma_2, sigma_3) of the map, conjugation-invariant.
 
-    If infinity is a fixed point (b0 = 0), the map is first conjugated once
-    by a deterministic coordinate change moving all fixed points into the
-    affine line; the sigmas are unchanged by conjugation.  One computation
-    then suffices: the multiplier polynomial has degree 3 whenever b0 != 0
-    (see _sigma_from_finite_fixed), and sigma_3 = sigma_1 - 2 holds for every
+    Computed on the lift's integers, a multiple that sigma does not see.
+    If infinity is fixed (b0 = 0), they are first conjugated once, moving
+    all fixed points into the affine line.  One computation then suffices:
+    the multiplier polynomial has degree 3 whenever b0 != 0 (see
+    _sigma_from_finite_fixed), and sigma_3 = sigma_1 - 2 holds for every
     map.  Both are still checked, and a failure of either raises
     InternalInvariantError rather than guessing.
     """
-    return _sigma_from_finite_fixed(lift if lift.b0 != 0 else _deterministic_shift(lift))
+    ints = _integral(lift.coeffs)[0]
+    if ints[3] == 0:
+        ints = _deterministic_shift(ints)
+        Lift(*ints)  # a conjugate of a nondegenerate map: checked, not assumed
+    return _sigma_from_finite_fixed(lift, ints)

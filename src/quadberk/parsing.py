@@ -4,16 +4,17 @@ Accepted grammar: integer and fraction literals in ASCII digits (``a/b``),
 the variable ``z``, operators ``+ - * / ^`` with the usual precedence,
 parentheses, and implicit multiplication (``3z``, ``2(z+1)``).  Exponents
 must be nonnegative integer literals; parentheses nest at most 100 deep.
-The expression is expanded into a single rational function, the polynomial
-gcd of numerator and denominator is cancelled, and the result must have
-degree exactly 2.
+The expression is expanded into a single rational function on integer
+lists (a/b is [a] over [b]), the primitive gcd of numerator and denominator
+over Z is cancelled (exact over Z by Gauss's lemma), and the result must
+have degree exactly 2; the only Fractions built are the Lift's six.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from . import polyutil
 from .errors import DegreeError, MapSyntaxError
 from .quadmap import Lift
 
@@ -68,8 +69,65 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+def _add(p: list, q: list) -> list:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _mul(p: list, q: list) -> list:
+    # Z is a domain: the product of two nonzero leading coefficients is nonzero
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def _primitive(p: list) -> list:
+    g = gcd(*p)
+    return [c // g for c in p]
+
+
+def _gcd(p: list, q: list) -> list:
+    """A primitive gcd of two nonzero polynomials over Z, by the primitive
+    remainder sequence: each pseudo-remainder is cut to its primitive part."""
+    a, b = _primitive(p), _primitive(q)
+    while b:
+        r, lead = a, b[-1]
+        while len(r) >= len(b):
+            c, shift = r[-1], len(r) - len(b)
+            r = [lead * x for x in r]
+            for i, y in enumerate(b):
+                r[shift + i] -= c * y
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, _primitive(r) if r else r
+    return a
+
+
+def _div_exact(p: list, q: list) -> list:
+    """p/q for a primitive q that divides p over Q: by Gauss's lemma the
+    quotient is over Z, so every step of the long division is exact."""
+    rem, dq, lead = list(p), len(q) - 1, q[-1]
+    quot = [0] * (len(p) - dq)
+    for shift in range(len(quot) - 1, -1, -1):
+        c = quot[shift] = rem[shift + dq] // lead
+        for i, y in enumerate(q):
+            rem[shift + i] -= c * y
+    return quot
+
+
 class _RationalFunction:
-    """num/den as dense low-to-high Fraction coefficient lists."""
+    """num/den as dense low-to-high int lists, trailing zeros stripped ([] is 0)."""
 
     __slots__ = ("num", "den")
 
@@ -79,40 +137,34 @@ class _RationalFunction:
 
     @classmethod
     def constant(cls, c):
-        return cls([Fraction(c)] if c else [], [Fraction(1)])
+        return cls([c] if c else [], [1])
 
     @classmethod
     def variable(cls):
-        return cls([Fraction(0), Fraction(1)], [Fraction(1)])
+        return cls([0, 1], [1])
 
     def _guard(self, pos):
-        if polyutil.degree(self.num) > _MAX_DEGREE or polyutil.degree(self.den) > _MAX_DEGREE:
+        if len(self.num) > _MAX_DEGREE + 1 or len(self.den) > _MAX_DEGREE + 1:
             raise MapSyntaxError("intermediate degree too large", pos)
         return self
 
     def add(self, other, pos):
-        num = polyutil.add(
-            polyutil.mul(self.num, other.den), polyutil.mul(other.num, self.den)
-        )
-        return _RationalFunction(num, polyutil.mul(self.den, other.den))._guard(pos)
+        num = _add(_mul(self.num, other.den), _mul(other.num, self.den))
+        return _RationalFunction(num, _mul(self.den, other.den))._guard(pos)
 
     def sub(self, other, pos):
         return self.add(other.neg(), pos)
 
     def mul(self, other, pos):
-        return _RationalFunction(
-            polyutil.mul(self.num, other.num), polyutil.mul(self.den, other.den)
-        )._guard(pos)
+        return _RationalFunction(_mul(self.num, other.num), _mul(self.den, other.den))._guard(pos)
 
     def div(self, other, pos):
         if not other.num:
             raise MapSyntaxError("division by zero", pos)
-        return _RationalFunction(
-            polyutil.mul(self.num, other.den), polyutil.mul(self.den, other.num)
-        )._guard(pos)
+        return _RationalFunction(_mul(self.num, other.den), _mul(self.den, other.num))._guard(pos)
 
     def neg(self):
-        return _RationalFunction([-c for c in self.num], list(self.den))
+        return _RationalFunction([-c for c in self.num], self.den)
 
     def pow(self, exponent, pos):
         result = _RationalFunction.constant(1)
@@ -214,24 +266,15 @@ def parse_map(text: str) -> Lift:
     rf = _Parser(_tokenize(text)).parse()
     if not rf.num:
         raise DegreeError("the zero map is not a quadratic map")
-    common = polyutil.gcd(rf.num, rf.den)
-    num, _ = polyutil.divmod_exact(rf.num, common)
-    den, _ = polyutil.divmod_exact(rf.den, common)
-    deg = max(polyutil.degree(num), polyutil.degree(den))
+    common = _gcd(rf.num, rf.den)
+    num, den = _div_exact(rf.num, common), _div_exact(rf.den, common)
+    deg = max(len(num), len(den)) - 1
     if deg != 2:
         raise DegreeError(f"map has degree {deg}, expected 2")
     # canonical scaling: the degree-2 polynomial (numerator preferred) is monic
-    lead = num[2] if polyutil.degree(num) == 2 else den[2]
-    num = polyutil.scale(num, 1 / lead)
-    den = polyutil.scale(den, 1 / lead)
-
-    def coeff(poly, i):
-        return poly[i] if i < len(poly) else Fraction(0)
-
-    return Lift(
-        coeff(num, 2), coeff(num, 1), coeff(num, 0),
-        coeff(den, 2), coeff(den, 1), coeff(den, 0),
-    )
+    lead = num[2] if len(num) == 3 else den[2]
+    num, den = num + [0] * (3 - len(num)), den + [0] * (3 - len(den))
+    return Lift(*(Fraction(c, lead) for c in (num[2], num[1], num[0], den[2], den[1], den[0])))
 
 
 def _poly_to_expr(c2: Fraction, c1: Fraction, c0: Fraction) -> str:

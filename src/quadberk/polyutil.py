@@ -1,7 +1,8 @@
-"""Small exact-arithmetic helpers: dense polynomials over Q and determinants.
+"""Exact helpers of sigma_invariants: the Sylvester resultant of two dense
+polynomials as a Fraction determinant, and Lagrange interpolation.
 
-Polynomials are dense lists of Fractions indexed by degree (coefficient of
-z^i at position i), trailing zeros stripped; [] is the zero polynomial.
+Polynomials are dense lists of ints or Fractions indexed by degree (z^i at
+position i), trailing zeros stripped; [] is the zero polynomial.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ def add(p: list, q: list) -> list:
     return trim(out)
 
 
-def sub(p: list, q: list) -> list:
-    return add(p, [-c for c in q])
-
-
 def mul(p: list, q: list) -> list:
     if not p or not q:
         return []
@@ -57,37 +54,6 @@ def scale(p: list, c) -> list:
     if c == 0:
         return []
     return [a * c for a in p]
-
-
-def divmod_exact(p: list, q: list) -> tuple:
-    """Euclidean division over Q."""
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [rat(c) for c in p]
-    quot = [_ZERO] * max(len(p) - len(q) + 1, 0)
-    dq, lead = degree(q), q[-1]
-    while degree(rem) >= dq and rem:
-        shift = degree(rem) - dq
-        coeff = rem[-1] / lead
-        quot[shift] = coeff
-        for i, c in enumerate(q):
-            rem[shift + i] -= coeff * c
-        trim(rem)
-    return trim(quot), rem
-
-
-def gcd(p: list, q: list) -> list:
-    """Monic gcd over Q ([] if both zero)."""
-    a = [rat(c) for c in p]
-    b = [rat(c) for c in q]
-    trim(a), trim(b)
-    while b:
-        _, r = divmod_exact(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
 
 
 def exact_det(rows: list) -> Fraction:

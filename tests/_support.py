@@ -12,7 +12,9 @@ from itertools import permutations
 from math import lcm
 
 from quadberk import (
+    DegreeError,
     Lift,
+    MapSyntaxError,
     Mobius,
     PLFunction,
     distinct_fixed_lift,
@@ -24,6 +26,7 @@ from quadberk import (
     resultant_forms,
     vp,
 )
+from quadberk import parsing, polyutil
 
 
 def perm_det(rows):
@@ -134,6 +137,126 @@ def sigma_milnor_oracle(lift: Lift) -> tuple:
         + 10 * a2 * b0 * b1 * b2 - 2 * a2 * b1**3 + 4 * b0 * b2**3 - b1**2 * b2**2
     )
     return tuple(Fraction(n, res) for n in (n1, n2, n1 - 2 * res))
+
+
+# the Fraction parser: today's grammar, every coefficient a Fraction, and
+# cancellation by the monic gcd over Q
+
+
+def divmod_exact(p: list, q: list) -> tuple:
+    """Euclidean division over Q."""
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = [Fraction(c) for c in p]
+    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    dq, lead = polyutil.degree(q), q[-1]
+    while polyutil.degree(rem) >= dq and rem:
+        shift = polyutil.degree(rem) - dq
+        coeff = rem[-1] / lead
+        quot[shift] = coeff
+        for i, c in enumerate(q):
+            rem[shift + i] -= coeff * c
+        polyutil.trim(rem)
+    return polyutil.trim(quot), rem
+
+
+def gcd_q(p: list, q: list) -> list:
+    """Monic gcd over Q ([] if both zero)."""
+    a = polyutil.trim([Fraction(c) for c in p])
+    b = polyutil.trim([Fraction(c) for c in q])
+    while b:
+        _, r = divmod_exact(a, b)
+        a, b = b, r
+    if a:
+        lead = a[-1]
+        a = [c / lead for c in a]
+    return a
+
+
+class _FractionRF:
+    """num/den as dense low-to-high Fraction coefficient lists."""
+
+    def __init__(self, num, den):
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def constant(cls, c):
+        return cls([Fraction(c)] if c else [], [Fraction(1)])
+
+    @classmethod
+    def variable(cls):
+        return cls([Fraction(0), Fraction(1)], [Fraction(1)])
+
+    def _guard(self, pos):
+        if polyutil.degree(self.num) > parsing._MAX_DEGREE or polyutil.degree(self.den) > parsing._MAX_DEGREE:
+            raise MapSyntaxError("intermediate degree too large", pos)
+        return self
+
+    def add(self, other, pos):
+        num = polyutil.add(polyutil.mul(self.num, other.den), polyutil.mul(other.num, self.den))
+        return _FractionRF(num, polyutil.mul(self.den, other.den))._guard(pos)
+
+    def sub(self, other, pos):
+        return self.add(other.neg(), pos)
+
+    def mul(self, other, pos):
+        return _FractionRF(
+            polyutil.mul(self.num, other.num), polyutil.mul(self.den, other.den)
+        )._guard(pos)
+
+    def div(self, other, pos):
+        if not other.num:
+            raise MapSyntaxError("division by zero", pos)
+        return _FractionRF(
+            polyutil.mul(self.num, other.den), polyutil.mul(self.den, other.num)
+        )._guard(pos)
+
+    def neg(self):
+        return _FractionRF([-c for c in self.num], list(self.den))
+
+    def pow(self, exponent, pos):
+        result = _FractionRF.constant(1)
+        for _ in range(exponent):
+            result = result.mul(self, pos)
+        return result
+
+
+class _FractionParser(parsing._Parser):
+    """The library's grammar, with literals and z as _FractionRF values."""
+
+    def atom(self):
+        tok = self.peek()
+        if tok.kind in ("num", "z"):
+            self.advance()
+            return _FractionRF.constant(tok.value) if tok.kind == "num" else _FractionRF.variable()
+        return super().atom()
+
+
+def parse_map_oracle(text: str) -> Lift:
+    """parse_map on Fractions: the library's tokens, the expression
+    expanded in Fraction arithmetic, the monic gcd over Q cancelled by
+    Euclidean division, and the degree-2 polynomial scaled to be monic."""
+    rf = _FractionParser(parsing._tokenize(text)).parse()
+    if not rf.num:
+        raise DegreeError("the zero map is not a quadratic map")
+    common = gcd_q(rf.num, rf.den)
+    num, _ = divmod_exact(rf.num, common)
+    den, _ = divmod_exact(rf.den, common)
+    deg = max(polyutil.degree(num), polyutil.degree(den))
+    if deg != 2:
+        raise DegreeError(f"map has degree {deg}, expected 2")
+    lead = num[2] if polyutil.degree(num) == 2 else den[2]
+    num = polyutil.scale(num, 1 / lead)
+    den = polyutil.scale(den, 1 / lead)
+
+    def coeff(poly, i):
+        return poly[i] if i < len(poly) else Fraction(0)
+
+    return Lift(
+        coeff(num, 2), coeff(num, 1), coeff(num, 0),
+        coeff(den, 2), coeff(den, 1), coeff(den, 0),
+    )
 
 
 def trial_division_is_prime(n: int) -> bool:

@@ -3,13 +3,14 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from quadberk import (
     DegreeError,
@@ -21,7 +22,7 @@ from quadberk import (
 )
 import quadberk
 from quadberk.cli import fmt_rat, run
-from _support import rand_lift
+from _support import parse_map_oracle, rand_lift
 
 
 def test_parse_map_examples():
@@ -43,6 +44,19 @@ def test_cli_rationals_read_ascii_only(capsys, center, rexp):
     assert run(["ordres", "-p", "5", "--map", "z^2", "--center", center, "--rexp", rexp]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "invalid rational" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "-p", "５", "--map", "z^2+1/5"],
+    ["sweep", "-p", "٣", "--form", "A", "--l1", "1/3"],
+    ["verify", "-p", "1٣", "--map", "z^2+1/13"],
+    ["ordres", "-p", "²", "--map", "z^2"],
+])
+def test_cli_prime_reads_ascii_only(capsys, argv):
+    # int() reads "５" as 5; the prime, like every other value, is ASCII
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid int value" in captured.err and "not ASCII" in captured.err
 
 
 @pytest.mark.parametrize("text", ["3", "-3", "+3", " 3 ", "1/3", "-1/3", "1.5", "1e2", "-47e-2"])
@@ -138,6 +152,74 @@ def test_round_trip_random_lifts():
         L = rand_lift(rng)
         again = parse_map(lift_to_expr(L))
         assert again.proportional_to(L)
+
+
+digits = st.one_of(st.integers(0, 9), st.integers(0, 2**40), st.integers(2**39, 2**40)).map(str)
+literal = st.one_of(digits, st.tuples(digits, digits).map("/".join))
+leaf = st.one_of(literal, st.just("z"), st.sampled_from(["(z - 3)", "(2z + 1)", "(z^2 + 1)", "z^9"]))
+
+
+def _compound(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from(["+", "-", "*", "/", ""]), children).map(
+            lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        # no parentheses: precedence, implicit multiplication, merged literals
+        st.tuples(children, st.sampled_from(["+", "-", "*", "/", ""]), children).map("".join),
+        # 17 is above the exponent cap
+        st.tuples(children, st.sampled_from([0, 1, 2, 3, 5, 9, 17])).map(lambda t: f"({t[0]})^{t[1]}"),
+        children.map(lambda s: f"-({s})"),
+        # a forced common factor c: cancellation runs
+        st.tuples(children, children, children).map(lambda t: f"(({t[0]})*({t[2]}))/(({t[1]})*({t[2]}))"),
+    )
+
+
+quadratic = st.tuples(literal, literal, literal).map(lambda c: f"({c[0]}z^2 + {c[1]}z + {c[2]})")
+map_exprs = st.one_of(
+    st.recursive(leaf, _compound, max_leaves=8),
+    # mostly degree 2 over degree 2, with a common factor to cancel
+    st.tuples(quadratic, quadratic, st.recursive(leaf, _compound, max_leaves=4)).map(
+        lambda t: f"{t[0]}*({t[2]})/({t[1]}*({t[2]}))"),
+)
+# one character put in anywhere: Unicode spaces are skipped, other characters refused
+noisy_map_exprs = st.one_of(map_exprs, st.tuples(
+    map_exprs, st.integers(0, 60), st.sampled_from([" ", "\t", "\n", "\u00a0", "\u3000", "²", "٣", "$", "x"]),
+).map(lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:]))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), getattr(exc, "pos", None), str(exc)
+
+
+@given(noisy_map_exprs)
+# the degree cap's edge: 16 is allowed, 17 is not
+@example("z^8 z^8/z^14")
+@example("z^9 z^8/z^15")
+@example("(z^2 + 1)^8 z/z^15")
+@settings(max_examples=400, deadline=None)
+def test_parse_map_matches_fraction_oracle(text):
+    # equal Lifts, or the same error class, position and message
+    assert _parse_outcome(parse_map, text) == _parse_outcome(parse_map_oracle, text)
+
+
+def test_parse_map_calls_no_polyutil(monkeypatch):
+    from quadberk import polyutil
+
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        # the examples, not the "<expr>" placeholder
+        readme_maps = list(dict.fromkeys(re.findall(r'(?:--map |parse_map\()"([^"<]+)"', fh.read())))
+    assert len(readme_maps) >= 3
+    expected = [parse_map_oracle(text) for text in readme_maps]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_map called polyutil")
+
+    for name, value in vars(polyutil).items():
+        if callable(value) and getattr(value, "__module__", None) == polyutil.__name__:
+            monkeypatch.setattr(polyutil, name, refuse)
+    assert [parse_map(text) for text in readme_maps] == expected
 
 
 def _run_json(capsys, argv):

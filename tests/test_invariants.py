@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadberk import (
+    DegenerateMapError,
     DegenerateMultipliersError,
     InternalInvariantError,
     Lift,
@@ -135,6 +136,28 @@ def test_sigma_matches_milnor_closed_form(lift):
     assert sigma_invariants(lift).as_tuple() == sigma_milnor_oracle(lift)
 
 
+nonzero_40_bit = st.builds(Fraction, st.integers(-(2**40), 2**40).filter(bool), st.integers(2, 2**40))
+
+
+@st.composite
+def lifts_with_denominators(draw):
+    """A nondegenerate lift of nonzero 40-bit coefficients with denominators,
+    b0 = 0 (infinity fixed) in about half the draws and b0 != 0 otherwise."""
+    cs = draw(st.lists(nonzero_40_bit, min_size=6, max_size=6))
+    if draw(st.booleans()):
+        cs[3] = Fraction(0)
+    a0, a1, a2, b0, b1, b2 = cs
+    assume((a0 * b2 - a2 * b0) ** 2 != (a0 * b1 - a1 * b0) * (a1 * b2 - a2 * b1))
+    return Lift(*cs)
+
+
+@given(lifts_with_denominators(), nonzero_40_bit)
+@settings(max_examples=200, deadline=None)
+def test_sigma_ignores_projective_scaling(lift, c):
+    # sigma reads the lift's integers, a multiple of the lift: any multiple gives the same
+    assert sigma_invariants(lift.scaled(c)) == sigma_invariants(lift)
+
+
 def test_sigma_checks_its_cubic(monkeypatch):
     # the check must survive python -O, so it may not be an assert
     from quadberk import polyutil
@@ -153,3 +176,13 @@ def test_sigma_checks_its_cubic(monkeypatch):
         calls = 0
         with pytest.raises(InternalInvariantError):
             sigma_invariants(lift)
+
+
+def test_sigma_checks_its_shift(monkeypatch):
+    # the integer conjugate off infinity is built as a Lift, so a degenerate
+    # one raises instead of giving a sigma; not an assert, as -O would drop it
+    from quadberk import invariants
+
+    monkeypatch.setattr(invariants, "_conjugate_ints", lambda ints, *matrix: [1, 0, 0, 1, 0, 0])
+    with pytest.raises(DegenerateMapError):
+        sigma_invariants(Z_SQUARED)
