@@ -3,9 +3,9 @@
 The three fixed points of a quadratic rational map carry multipliers
 (lambda_1, lambda_2, lambda_3) that may be irrational even for a rational
 map; their elementary symmetric functions (sigma_1, sigma_2, sigma_3) are
-rational and are computed here exactly through a resultant construction
-on the lift's coefficients scaled to integers, or, when infinity is fixed,
-on one conjugate of those integers.
+rational and are computed here exactly from a difference table of four
+integer resultants of the lift's coefficients scaled to integers, or,
+when infinity is fixed, of one conjugate of those integers.
 The identity sigma_3 = sigma_1 - 2, a consequence of the rational
 fixed-point residue formula sum 1/(1 - lambda_i) = 1, is enforced on the
 result type and doubles as an internal cross-check.
@@ -59,8 +59,8 @@ def _sigma_from_finite_fixed(lift: Lift, ints: list) -> SigmaInvariants:
     With P the cubic fixed-point polynomial, A(z) = f'(z) - z*g'(z) and
     B(z) = g(z), the multiplier at a fixed root alpha is A(alpha)/B(alpha);
     M(T) = Res_z(P, A - T*B) is then proportional to the cubic with the
-    multipliers as roots.  M is recovered by interpolation from four
-    resultant evaluations.  Its T^3 coefficient is -b0*Res(F, G), nonzero
+    multipliers as roots.  M is read off the difference table of its four
+    integer values M(0..3).  Its T^3 coefficient is -b0*Res(F, G), nonzero
     here, so a degree other than 3 is an internal error.
     """
     a0, a1, a2, b0, b1, b2 = ints
@@ -68,17 +68,25 @@ def _sigma_from_finite_fixed(lift: Lift, ints: list) -> SigmaInvariants:
     p_fix = polyutil.trim([a2, a1 - b2, a0 - b1, -b0])
     a_poly = (a1, 2 * a0 - b1, -2 * b0)
     b_poly = (b2, b1, b0)
-    points = []
+    values = []
     for t in (0, 1, 2, 3):
         q_t = polyutil.trim([a - t * b for a, b in zip(a_poly, b_poly)])
-        points.append((Fraction(t), polyutil.resultant(p_fix, q_t, 3, 2)))
-    m_poly = polyutil.lagrange_interpolate(points)
-    if polyutil.degree(m_poly) != 3:
-        raise InternalInvariantError(
-            f"multiplier polynomial of {lift} has degree {polyutil.degree(m_poly)}, not 3"
-        )
-    lead = m_poly[3]
-    return SigmaInvariants(-m_poly[2] / lead, m_poly[1] / lead, -m_poly[0] / lead)
+        # a determinant of integer rows: its denominator is 1
+        values.append(polyutil.resultant(p_fix, q_t, 3, 2).numerator)
+    c0, c1, c2, c3 = _difference_table(*values)
+    if c3 == 0:
+        raise InternalInvariantError(f"multiplier polynomial of {lift} has degree below 3")
+    return SigmaInvariants(Fraction(-c2, c3), Fraction(c1, c3), Fraction(-c0, c3))
+
+
+def _difference_table(y0: int, y1: int, y2: int, y3: int) -> tuple:
+    """(C0, C1, C2, C3) with 6*M(T) = C3*T^3 + C2*T^2 + C1*T + C0 for the
+    polynomial M of degree <= 3 with M(t) = y_t, t = 0..3: Newton's forward
+    differences at 0, with integer coefficients for integer values."""
+    d1 = y1 - y0
+    d2 = y2 - 2 * y1 + y0
+    d3 = y3 - 3 * y2 + 3 * y1 - y0
+    return 6 * y0, 6 * d1 - 3 * d2 + 2 * d3, 3 * d2 - 3 * d3, d3
 
 
 def _deterministic_shift(ints: list) -> list:

@@ -1,5 +1,5 @@
-"""Exact helpers of sigma_invariants: the Sylvester resultant of two dense
-polynomials as a Fraction determinant, and Lagrange interpolation.
+"""Exact helper of sigma_invariants: the Sylvester resultant of two dense
+polynomials as a Fraction determinant.
 
 Polynomials are dense lists of ints or Fractions indexed by degree (z^i at
 position i), trailing zeros stripped; [] is the zero polynomial.
@@ -25,35 +25,6 @@ def trim(p: list) -> list:
 def degree(p: list) -> int:
     """Degree, with deg 0 = -1 by convention."""
     return len(p) - 1
-
-
-def add(p: list, q: list) -> list:
-    n = max(len(p), len(q))
-    out = [_ZERO] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return trim(out)
-
-
-def mul(p: list, q: list) -> list:
-    if not p or not q:
-        return []
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return trim(out)
-
-
-def scale(p: list, c) -> list:
-    c = rat(c)
-    if c == 0:
-        return []
-    return [a * c for a in p]
 
 
 def exact_det(rows: list) -> Fraction:
@@ -100,17 +71,3 @@ def resultant(p: list, q: list, deg_p: int | None = None, deg_q: int | None = No
     for shift in range(dp):
         rows.append([_ZERO] * shift + qrow + [_ZERO] * (size - shift - dq - 1))
     return exact_det(rows)
-
-
-def lagrange_interpolate(points: list) -> list:
-    """Polynomial of degree < len(points) through the given (x, y) pairs."""
-    result = []
-    for i, (xi, yi) in enumerate(points):
-        term = [rat(yi)]
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            term = mul(term, [rat(-xj), _ONE])
-            term = scale(term, Fraction(1, xi - xj))
-        result = add(result, term)
-    return result

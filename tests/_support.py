@@ -139,6 +139,53 @@ def sigma_milnor_oracle(lift: Lift) -> tuple:
     return tuple(Fraction(n, res) for n in (n1, n2, n1 - 2 * res))
 
 
+# dense Fraction polynomial arithmetic, low-to-high: the kernels of the
+# Fraction parser below, and Lagrange interpolation, the oracle of sigma's
+# difference table
+
+
+def add(p: list, q: list) -> list:
+    out = [Fraction(0)] * max(len(p), len(q))
+    for i, c in enumerate(p):
+        out[i] += c
+    for i, c in enumerate(q):
+        out[i] += c
+    return polyutil.trim(out)
+
+
+def mul(p: list, q: list) -> list:
+    if not p or not q:
+        return []
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return polyutil.trim(out)
+
+
+def scale(p: list, c) -> list:
+    c = Fraction(c)
+    if c == 0:
+        return []
+    return [a * c for a in p]
+
+
+def lagrange_interpolate(points: list) -> list:
+    """Polynomial of degree < len(points) through the given (x, y) pairs."""
+    result = []
+    for i, (xi, yi) in enumerate(points):
+        term = [Fraction(yi)]
+        for j, (xj, _) in enumerate(points):
+            if i == j:
+                continue
+            term = mul(term, [Fraction(-xj), Fraction(1)])
+            term = scale(term, Fraction(1, xi - xj))
+        result = add(result, term)
+    return result
+
+
 # the Fraction parser: today's grammar, every coefficient a Fraction, and
 # cancellation by the monic gcd over Q
 
@@ -194,22 +241,22 @@ class _FractionRF:
         return self
 
     def add(self, other, pos):
-        num = polyutil.add(polyutil.mul(self.num, other.den), polyutil.mul(other.num, self.den))
-        return _FractionRF(num, polyutil.mul(self.den, other.den))._guard(pos)
+        num = add(mul(self.num, other.den), mul(other.num, self.den))
+        return _FractionRF(num, mul(self.den, other.den))._guard(pos)
 
     def sub(self, other, pos):
         return self.add(other.neg(), pos)
 
     def mul(self, other, pos):
         return _FractionRF(
-            polyutil.mul(self.num, other.num), polyutil.mul(self.den, other.den)
+            mul(self.num, other.num), mul(self.den, other.den)
         )._guard(pos)
 
     def div(self, other, pos):
         if not other.num:
             raise MapSyntaxError("division by zero", pos)
         return _FractionRF(
-            polyutil.mul(self.num, other.den), polyutil.mul(self.den, other.num)
+            mul(self.num, other.den), mul(self.den, other.num)
         )._guard(pos)
 
     def neg(self):
@@ -247,8 +294,8 @@ def parse_map_oracle(text: str) -> Lift:
     if deg != 2:
         raise DegreeError(f"map has degree {deg}, expected 2")
     lead = num[2] if polyutil.degree(num) == 2 else den[2]
-    num = polyutil.scale(num, 1 / lead)
-    den = polyutil.scale(den, 1 / lead)
+    num = scale(num, 1 / lead)
+    den = scale(den, 1 / lead)
 
     def coeff(poly, i):
         return poly[i] if i < len(poly) else Fraction(0)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +18,7 @@ from quadberk import (
     multiple_fixed_lift,
     sigma_invariants,
 )
-from _support import esf3, rand_lift, rand_mobius, sigma_milnor_oracle
+from _support import esf3, lagrange_interpolate, rand_lift, rand_mobius, sigma_milnor_oracle
 
 Z_SQUARED = Lift(1, 0, 0, 0, 0, 1)
 
@@ -162,20 +163,46 @@ def test_sigma_checks_its_cubic(monkeypatch):
     # the check must survive python -O, so it may not be an assert
     from quadberk import polyutil
 
-    exact = polyutil.lagrange_interpolate
+    exact = polyutil.resultant
 
-    def quadratic_once(points):
-        # the true cubic on any later call: a retry would then succeed
+    def quadratic_first(*args):
+        # M(t) = t^2 + 1 on the first four calls, the true values after: a
+        # retry would then succeed
         nonlocal calls
-        calls += 1
-        cubic = exact(points)
-        return cubic[:3] if calls == 1 else cubic
+        t, calls = calls, calls + 1
+        return t * t + 1 if t < 4 else exact(*args)
 
-    monkeypatch.setattr(polyutil, "lagrange_interpolate", quadratic_once)
+    monkeypatch.setattr(polyutil, "resultant", quadratic_first)
     for lift in (distinct_fixed_lift(Fraction(1, 3), 2), Lift(1, 2, 3, 4, 5, 7)):
         calls = 0
         with pytest.raises(InternalInvariantError):
             sigma_invariants(lift)
+        assert calls == 4
+
+
+@st.composite
+def value_quadruples(draw):
+    """Four integers up to 2^200, on a polynomial of degree < 3 in about
+    half the draws (third forward difference 0)."""
+    big = st.integers(-(2**200), 2**200)
+    y0, y1, y2 = draw(big), draw(big), draw(big)
+    y3 = 3 * y2 - 3 * y1 + y0 if draw(st.booleans()) else draw(big)
+    return y0, y1, y2, y3
+
+
+@given(value_quadruples())
+@settings(max_examples=300, deadline=None)
+def test_difference_table_matches_lagrange(values):
+    from quadberk import invariants, polyutil
+
+    cubic = lagrange_interpolate(list(enumerate(values)))
+    expected = [6 * c for c in cubic] + [0] * (4 - len(cubic))
+    assert list(invariants._difference_table(*values)) == expected
+    if expected[3] == 0:
+        # sigma of such values raises instead of dividing by zero
+        with mock.patch.object(polyutil, "resultant", side_effect=values):
+            with pytest.raises(InternalInvariantError):
+                invariants._sigma_from_finite_fixed(Lift(1, 2, 3, 4, 5, 7), [1, 2, 3, 4, 5, 7])
 
 
 def test_sigma_checks_its_shift(monkeypatch):
