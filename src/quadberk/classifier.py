@@ -16,11 +16,9 @@ are read off the Newton polygon of T^3 - sigma1*T^2 + sigma2*T - sigma3.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import QuadberkError
 from .invariants import SigmaInvariants
-from .padic import INF, PrimeCtx, newton_slopes, reduce_residue, vp
+from .padic import INF, PrimeCtx, _int_ord, newton_slopes
 from .value import Value
 
 W1, W2, W3, W4 = "W1", "W2", "W3", "W4"
@@ -51,15 +49,21 @@ def specialize(sigma: SigmaInvariants, ctx: PrimeCtx) -> tuple:
     """Specialization of [sigma1 : sigma2 : 1] to P^2(F_p), as an int triple
     normalized so that its first nonzero coordinate is 1.
 
-    Scales the triple by p^(-mu) with mu = min(vp(sigma1), vp(sigma2), 0),
-    which makes every coordinate integral and some coordinate a unit, then
-    reduces mod p.
+    Scaled by p^(-mu), mu = min(vp(sigma1), vp(sigma2), 0), a coordinate
+    of valuation mu reduces to its p-free residue and every other one to 0.
+    In lowest terms p divides at most one of numerator and denominator, so
+    -mu is the larger p-order of the two denominators.
     """
-    mu = min(vp(sigma.sigma1, ctx), vp(sigma.sigma2, ctx), 0)
-    factor = Fraction(ctx.p) ** (-mu)
-    point = [reduce_residue(c, ctx) for c in (sigma.sigma1 * factor, sigma.sigma2 * factor, factor)]
-    inv = pow(next(c for c in point if c != 0), -1, ctx.p)
-    return tuple(c * inv % ctx.p for c in point)
+    p = ctx.p
+    sigmas = (sigma.sigma1, sigma.sigma2)
+    poles = [_int_ord(s.denominator, p) for s in sigmas]
+    e = max(poles)
+    unit = p**e
+    point = [s.numerator * pow(s.denominator // unit, -1, p) % p if pole == e else 0
+             for s, pole in zip(sigmas, poles)]
+    point.append(1 if e == 0 else 0)
+    inv = pow(next(c for c in point if c != 0), -1, p)
+    return tuple(c * inv % p for c in point)
 
 
 def stratum(sigma: SigmaInvariants, ctx: PrimeCtx) -> ReductionType:

@@ -7,8 +7,9 @@ the minimal-resultant locus xi.  Two normal forms cover all quadratic maps:
   * (z^2 + l1*z)/(l2*z + 1) (three distinct fixed points 0, infinity, alpha3)
 
 and for each this module predicts xi, its stratum and its residue class in
-closed form from the multiplier data.  An exact segment search over the
-piecewise-affine ordRes profile provides the independent route;
+closed form from the multiplier data.  An exact segment search provides
+the independent route: the profile's minimum is read off its integer lines
+by the largest crossing of a falling and a rising line;
 ``_complete_report`` checks every report against it and the residue class,
 and ``verify_consistency`` adds the sigma specialization.
 """
@@ -18,15 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .classifier import W1, W2, W3, W4, ReductionType, stratum
-from .errors import ConsistencyFailure, NotNormalFormError
+from .errors import ConsistencyFailure, NotNormalFormError, UnboundedProfileError
 from .invariants import lambda3_from, sigma_invariants
 from .padic import PrimeCtx, Rat, reduce_residue, vp
-from .quadmap import (
-    Lift,
-    TypeIIPoint,
-    minimize_profile,
-    ord_res_profile,
-)
+from .quadmap import Lift, TypeIIPoint, _profile_lines
 from .reduction import ResidueKind, classify_residue, reduce_at
 from .value import Value, rat
 
@@ -157,10 +153,36 @@ def predict_xi_distinct_fixed(lambda1: Rat, lambda2: Rat, ctx: PrimeCtx) -> Cruc
     return _complete_report(distinct_fixed_lift(l1, l3), TypeIIPoint(0, 0), ReductionType(W1), ctx)
 
 
+def _profile_minimum(lines: dict) -> tuple:
+    """(argmin, min value), both Fractions, of the maximum of the lines
+    m -> s*m + c given as {s: c} with integer s and c.
+
+    The minimum is the largest value at which a line of negative slope
+    crosses one of positive slope, and every pair crossing at that value
+    crosses at the argmin.  Values n/d are compared by cross-multiplied
+    integers.  The slopes 6 - 4k of _profile_lines are never 0; with no line
+    of one sign there is no single minimizer, and UnboundedProfileError is
+    raised.
+    """
+    falling = [(s, c) for s, c in lines.items() if s < 0]
+    rising = [(s, c) for s, c in lines.items() if s > 0]
+    if not falling or not rising:
+        raise UnboundedProfileError("no single minimizer: all slopes of one sign")
+    best = None
+    for sa, ca in falling:
+        for sb, cb in rising:
+            # crossing at m = (ca - cb)/d with value n/d, d > 0
+            d, n = sb - sa, sb * ca - sa * cb
+            if best is None or n * best[2] > best[1] * d:
+                best = (ca - cb, n, d)
+    return Fraction(best[0], best[2]), Fraction(best[1], best[2])
+
+
 def find_crucial_on_segment(lift: Lift, center: Rat, ctx: PrimeCtx) -> tuple:
     """Exact (argmin, min value) of the ordRes profile along the segment of
-    points centered at ``center``."""
-    return minimize_profile(ord_res_profile(lift, center, ctx))
+    points centered at ``center``, from the integer lines of _profile_lines;
+    ord_res_profile's envelope has the same minimum."""
+    return _profile_minimum(_profile_lines(lift, center, ctx.p))
 
 
 def identify_normal_form(lift: Lift):

@@ -5,9 +5,12 @@ homogeneous lift [F, G] with F = a0*X^2 + a1*X*Y + a2*Y^2 and
 G = b0*X^2 + b1*X*Y + b2*Y^2.  Nondegeneracy (Sylvester resultant nonzero)
 is enforced at construction.  The resultant and conjugation are computed on
 integers: coefficients are scaled by the lcm of their denominators and one
-closed-form integer kernel is evaluated.  ord_res_at, ord_res_profile and
-reduction.reduce_at read the conjugate's six integer numerators off one
-pass, _conjugate_at; ord_res_at and ord_res_profile take vp(Res) from one
+closed-form integer kernel is evaluated.  ord_res_at and reduction.reduce_at
+read the conjugate's six integer numerators off one pass, _conjugate_at.
+_profile_lines reads the profile's lines off the numerators at m = 0:
+crucial.find_crucial_on_segment minimizes them on integers, and
+ord_res_profile builds their PLFunction envelope for the CLI's profile
+command and the tests.  ord_res_at and _profile_lines take vp(Res) from one
 helper, _res_ord.
 
 Type II points of the projective Berkovich line are written in the affine
@@ -318,20 +321,38 @@ def ord_res_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> int:
     return direct
 
 
+def _profile_lines(lift: Lift, center: Rat, p: int) -> dict:
+    """{slope: intercept} of the ordRes profile's lines at ``center``, on integers.
+
+    The conjugate by z -> center + p^m z has coefficients c_i * p^(k_i*m),
+    k = (2, 1, 0, 3, 2, 1), where c_i is the integer n_i of the conjugate
+    at m = 0 over L*den^3.  A nonzero c_i gives the line
+    m -> vp(Res) + 6m - 4*(vp(c_i) + k_i*m): slope 6 - 4*k_i, intercept
+    vp(Res) + 4*vp(L*den^3) - 4*vp(n_i).  Per slope only the largest
+    intercept is kept.
+    """
+    center = rat(center)
+    ints, L = _integral(lift.coeffs)
+    den = center.denominator
+    nums = _conjugate_ints(ints, den, center.numerator, 0, den)
+    base = _res_ord(ints, L, p) + 4 * _int_ord(L * den**3, p)
+    lines = {}
+    for k, n in zip((2, 1, 0, 3, 2, 1), nums):
+        if n:
+            s, c = 6 - 4 * k, base - 4 * _int_ord(n, p)
+            if s not in lines or c > lines[s]:
+                lines[s] = c
+    return lines
+
+
 def ord_res_profile(lift: Lift, center: Rat, ctx: PrimeCtx) -> PLFunction:
     """Exact profile m -> ordRes at zeta_{D(center, p^(-m))}, all rational m.
 
     Through the transformation formula the profile is
-    vp(Res) + 6m - 4*min_i(vp(c_i) + k_i*m), a pointwise maximum of at most
-    four affine functions with slopes in {-6, -2, 2, 6}.  Here c_i * p^(k_i*m)
-    is the i-th coefficient of the conjugate by z -> center + p^m z, with
-    k = (2, 1, 0, 3, 2, 1), and c_i is nums[i]/scale of _conjugate_at at m = 0.
-    Both signs occur (with no line of one sign F and G would share the factor
+    vp(Res) + 6m - 4*min_i(vp(c_i) + k_i*m), the upper envelope of the lines
+    of _profile_lines, with slopes in {-6, -2, 2, 6}.  Here c_i * p^(k_i*m)
+    is the i-th coefficient of the conjugate by z -> center + p^m z.  Both
+    signs occur (with no line of one sign F and G would share the factor
     X or Y), so minimize_profile returns a single point.
     """
-    p = ctx.p
-    ints, L, nums, scale, _ = _conjugate_at(lift, TypeIIPoint(center, 0), ctx)
-    base = _res_ord(ints, L, p) + 4 * _int_ord(scale, p)
-    return PLFunction.upper_envelope(
-        (6 - 4 * k, base - 4 * _int_ord(n, p)) for k, n in zip((2, 1, 0, 3, 2, 1), nums) if n
-    )
+    return PLFunction.upper_envelope(_profile_lines(lift, center, ctx.p).items())

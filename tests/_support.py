@@ -116,6 +116,17 @@ def ord_res_profile_oracle(lift: Lift, center, ctx) -> PLFunction:
     )
 
 
+def specialize_oracle(sigma, ctx) -> tuple:
+    """classifier.specialize on Fractions: [sigma1 : sigma2 : 1] scaled by
+    p^(-mu), mu = min(vp(sigma1), vp(sigma2), 0), each coordinate reduced
+    mod p, then divided by the first nonzero one."""
+    mu = min(vp(sigma.sigma1, ctx), vp(sigma.sigma2, ctx), 0)
+    factor = Fraction(ctx.p) ** (-mu)
+    point = [reduce_residue(c, ctx) for c in (sigma.sigma1 * factor, sigma.sigma2 * factor, factor)]
+    inv = pow(next(c for c in point if c != 0), -1, ctx.p)
+    return tuple(c * inv % ctx.p for c in point)
+
+
 def sigma_milnor_oracle(lift: Lift) -> tuple:
     """(sigma1, sigma2, sigma3) by Milnor's closed form on the lift's
     integers: sigma_i = N_i/Res with integer quartics N1, N2 and

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from quadberk import (
     INF,
     PrimeCtx,
@@ -16,7 +18,7 @@ from quadberk import (
     stratum,
     vp,
 )
-from _support import exhaustive_inverse, rand_rat, rand_unit
+from _support import exhaustive_inverse, rand_rat, rand_unit, specialize_oracle
 
 P3, P5 = PrimeCtx(3), PrimeCtx(5)
 
@@ -41,6 +43,31 @@ def test_specialize_examples():
 def test_specialize_w4():
     # scale by 27 -> (39, -131, 27) = (0, 1, 0) mod 3
     assert specialize(SIG_W4, P3) == (0, 1, 0)
+
+
+@st.composite
+def _sigma_cases(draw):
+    """Sigma invariants with sigma1 and sigma2 each 0 or a fraction times
+    p^e, |e| up to 80, so that high powers of p sit in numerators and
+    denominators alike, and p."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 13)))
+    coordinate = st.one_of(
+        st.just(0),
+        st.builds(lambda e, f: Fraction(p) ** e * f, st.integers(-80, 80),
+                  st.fractions(max_denominator=10**6).filter(bool)),
+    )
+    s1, s2 = draw(coordinate), draw(coordinate)
+    return SigmaInvariants(s1, s2, s1 - 2), PrimeCtx(p)
+
+
+@given(_sigma_cases())
+@example((SigmaInvariants(0, 0, -2), PrimeCtx(2)))
+@example((SigmaInvariants(Fraction(3, 2**70), Fraction(5 * 2**60, 7), Fraction(3, 2**70) - 2), PrimeCtx(2)))
+@example((SigmaInvariants(Fraction(1, 5**40), Fraction(2, 5**40), Fraction(1, 5**40) - 2), PrimeCtx(5)))
+@settings(max_examples=400, deadline=None)
+def test_specialize_matches_fraction_oracle(case):
+    sigma, ctx = case
+    assert specialize(sigma, ctx) == specialize_oracle(sigma, ctx)
 
 
 def test_stratum_examples():

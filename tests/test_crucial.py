@@ -12,19 +12,22 @@ from quadberk import (
     PrimeCtx,
     ResidueKind,
     TypeIIPoint,
+    UnboundedProfileError,
     conjugate,
     distinct_fixed_lift,
     find_crucial_on_segment,
     identify_normal_form,
     lambda3_from,
+    minimize_profile,
     multiple_fixed_lift,
     ord_res_at,
+    ord_res_profile,
     predict_xi_distinct_fixed,
     predict_xi_multiple_fixed,
     verify_consistency,
     vp,
 )
-from _support import rand_unit
+from _support import CASES, case_instance as _case_instance, ord_res_profile_oracle, rand_lift, rand_unit
 
 P3, P5 = PrimeCtx(3), PrimeCtx(5)
 
@@ -242,15 +245,22 @@ def test_prediction_and_profile_search_checks(monkeypatch):
 
 
 def test_normal_form_verify_builds_one_profile(monkeypatch):
-    from quadberk import crucial
+    # one profile search per verify, on the integer lines: the PLFunction
+    # route is for the profile command and the oracle only
+    from quadberk import PLFunction, crucial, quadmap
 
-    profile, calls = crucial.ord_res_profile, []
+    lines, calls = crucial._profile_lines, []
 
     def counted(*args):
         calls.append(args)
-        return profile(*args)
+        return lines(*args)
 
-    monkeypatch.setattr(crucial, "ord_res_profile", counted)
+    def refuse(*args):
+        raise AssertionError("the verify path built a PLFunction profile")
+
+    monkeypatch.setattr(crucial, "_profile_lines", counted)
+    monkeypatch.setattr(quadmap, "ord_res_profile", refuse)
+    monkeypatch.setattr(PLFunction, "upper_envelope", refuse)
     cases = [(multiple_fixed_lift(Fraction(1, 5)), P5), (multiple_fixed_lift(1), P5),
              (distinct_fixed_lift(Fraction(1, 3), 2), P3), (distinct_fixed_lift(3, Fraction(1, 9)), P3),
              (distinct_fixed_lift(6, 6), P5), (distinct_fixed_lift(6, 121), P5)]
@@ -258,6 +268,43 @@ def test_normal_form_verify_builds_one_profile(monkeypatch):
         calls.clear()
         verify_consistency(lift, ctx)
         assert len(calls) == 1
+
+
+@st.composite
+def _segment_cases(draw):
+    """A random lift or a map of one of the seven families, a rational
+    center (often 0 or -1, where the families put xi) and p."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 13)))
+    ctx = PrimeCtx(p)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("random",) + CASES))
+    # Bi needs a unit residue outside {0, 1}: empty over F_2
+    assume(not (kind == "Bi" and p == 2))
+    lift = rand_lift(rng) if kind == "random" else _case_instance(kind, rng, p, ctx)
+    scaled = st.builds(lambda e, f: Fraction(p) ** e * f, st.integers(-4, 4),
+                       st.fractions(-60, 60, max_denominator=60))
+    center = draw(st.one_of(st.sampled_from((0, -1)), scaled))
+    return lift, center, ctx
+
+
+@given(_segment_cases())
+@settings(max_examples=400, deadline=None)
+def test_find_crucial_matches_profile_oracle(case):
+    lift, center, ctx = case
+    found = find_crucial_on_segment(lift, center, ctx)
+    expected = minimize_profile(ord_res_profile_oracle(lift, center, ctx))
+    assert found == expected == minimize_profile(ord_res_profile(lift, center, ctx))
+    assert all(type(x) is Fraction for x in found + expected)
+
+
+def test_profile_minimum_checks_both_signs():
+    from quadberk.crucial import _profile_minimum
+
+    for lines in ({}, {-6: 0, -2: 5}, {2: 1, 6: -3}):
+        with pytest.raises(UnboundedProfileError):
+            _profile_minimum(lines)
+    # the largest crossing wins: -2m + 1 meets 6m - 5 at m = 3/4, value -1/2
+    assert _profile_minimum({-6: 0, -2: 1, 2: -4, 6: -5}) == (Fraction(3, 4), Fraction(-1, 2))
 
 
 def test_identify_normal_form():
@@ -273,8 +320,6 @@ def test_identify_normal_form():
     scaled = distinct_fixed_lift(Fraction(1, 3), 2).scaled(3)
     assert identify_normal_form(scaled) == ("distinct", Fraction(1, 3), Fraction(2))
 
-
-from _support import CASES, case_instance as _case_instance
 
 
 def test_prediction_matches_search_per_case():
