@@ -5,21 +5,24 @@ The three fixed points of a quadratic rational map carry multipliers
 map; their elementary symmetric functions (sigma_1, sigma_2, sigma_3) are
 rational and are computed here exactly from a difference table of four
 integer resultants of the lift's coefficients scaled to integers, or,
-when infinity is fixed, of one conjugate of those integers.
-The identity sigma_3 = sigma_1 - 2, a consequence of the rational
-fixed-point residue formula sum 1/(1 - lambda_i) = 1, is enforced on the
-result type and doubles as an internal cross-check.
+when infinity is fixed, of one conjugate of those integers: each the
+determinant of a fixed-shape 5x5 Sylvester matrix, by exact Fraction
+elimination.  The identity sigma_3 = sigma_1 - 2, a consequence of the
+rational fixed-point residue formula sum 1/(1 - lambda_i) = 1, is
+enforced on the result type and doubles as an internal cross-check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import polyutil
 from .errors import DegenerateMultipliersError, InternalInvariantError
 from .padic import Rat
 from .quadmap import Lift, _conjugate_ints, _integral
 from .value import Value, rat
+
+# a Fraction is immutable, so one instance of each serves every row
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class SigmaInvariants(Value):
@@ -64,19 +67,47 @@ def _sigma_from_finite_fixed(lift: Lift, ints: list) -> SigmaInvariants:
     here, so a degree other than 3 is an internal error.
     """
     a0, a1, a2, b0, b1, b2 = ints
-    # low-to-high coefficient lists
-    p_fix = polyutil.trim([a2, a1 - b2, a0 - b1, -b0])
-    a_poly = (a1, 2 * a0 - b1, -2 * b0)
-    b_poly = (b2, b1, b0)
+    # leading-first at formal degrees 3 and 2: P, and Q_t = A - t*B
+    p3, p2, p1, p0 = map(Fraction, (-b0, a0 - b1, a1 - b2, a2))
     values = []
     for t in (0, 1, 2, 3):
-        q_t = polyutil.trim([a - t * b for a, b in zip(a_poly, b_poly)])
+        q2, q1, q0 = map(Fraction, (-(2 + t) * b0, 2 * a0 - (1 + t) * b1, a1 - t * b2))
+        sylvester = [
+            [p3, p2, p1, p0, _ZERO],
+            [_ZERO, p3, p2, p1, p0],
+            [q2, q1, q0, _ZERO, _ZERO],
+            [_ZERO, q2, q1, q0, _ZERO],
+            [_ZERO, _ZERO, q2, q1, q0],
+        ]
         # a determinant of integer rows: its denominator is 1
-        values.append(polyutil.resultant(p_fix, q_t, 3, 2).numerator)
+        values.append(_det(sylvester).numerator)
     c0, c1, c2, c3 = _difference_table(*values)
     if c3 == 0:
         raise InternalInvariantError(f"multiplier polynomial of {lift} has degree below 3")
     return SigmaInvariants(Fraction(-c2, c3), Fraction(c1, c3), Fraction(-c0, c3))
+
+
+def _det(rows: list) -> Fraction:
+    """Determinant over Q by Gaussian elimination with exact Fractions."""
+    n = len(rows)
+    m = [[rat(x) for x in row] for row in rows]
+    det = _ONE
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return _ZERO
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] == 0:
+                continue
+            factor = m[r][col] * inv
+            for c in range(col, n):
+                m[r][c] -= factor * m[col][c]
+    return det
 
 
 def _difference_table(y0: int, y1: int, y2: int, y3: int) -> tuple:

@@ -26,7 +26,7 @@ from quadberk import (
     resultant_forms,
     vp,
 )
-from quadberk import parsing, polyutil
+from quadberk import parsing
 
 
 def perm_det(rows):
@@ -44,15 +44,21 @@ def perm_det(rows):
     return total
 
 
-def sylvester_rows(f, g):
-    a0, a1, a2 = (Fraction(c) for c in f)
-    b0, b1, b2 = (Fraction(c) for c in g)
-    return [
-        [a0, a1, a2, 0],
-        [0, a0, a1, a2],
-        [b0, b1, b2, 0],
-        [0, b0, b1, b2],
+def sylvester_matrix(p, q, dp: int, dq: int) -> list:
+    """Sylvester matrix of p and q, low-to-high coefficient lists, at the
+    formal degrees dp and dq: dq shifted copies of p's leading-first row,
+    then dp of q's, each padded with zeros to dp + dq columns."""
+    prow = [Fraction(p[i]) if i < len(p) else Fraction(0) for i in range(dp, -1, -1)]
+    qrow = [Fraction(q[i]) if i < len(q) else Fraction(0) for i in range(dq, -1, -1)]
+    size = dp + dq
+    return [[0] * s + prow + [0] * (size - s - dp - 1) for s in range(dq)] + [
+        [0] * s + qrow + [0] * (size - s - dq - 1) for s in range(dp)
     ]
+
+
+def sylvester_rows(f, g):
+    """The 4x4 Sylvester matrix of two binary quadratic forms, leading-first."""
+    return sylvester_matrix(f[::-1], g[::-1], 2, 2)
 
 
 def conjugate_oracle(lift: Lift, g: Mobius) -> Lift:
@@ -150,9 +156,20 @@ def sigma_milnor_oracle(lift: Lift) -> tuple:
     return tuple(Fraction(n, res) for n in (n1, n2, n1 - 2 * res))
 
 
-# dense Fraction polynomial arithmetic, low-to-high: the kernels of the
-# Fraction parser below, and Lagrange interpolation, the oracle of sigma's
-# difference table
+# dense Fraction polynomial arithmetic, low-to-high, [] the zero
+# polynomial: the kernels of the Fraction parser below, and Lagrange
+# interpolation, the oracle of sigma's difference table
+
+
+def trim(p: list) -> list:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def degree(p: list) -> int:
+    """Degree; the zero polynomial [] has degree -1."""
+    return len(p) - 1
 
 
 def add(p: list, q: list) -> list:
@@ -161,7 +178,7 @@ def add(p: list, q: list) -> list:
         out[i] += c
     for i, c in enumerate(q):
         out[i] += c
-    return polyutil.trim(out)
+    return trim(out)
 
 
 def mul(p: list, q: list) -> list:
@@ -173,7 +190,7 @@ def mul(p: list, q: list) -> list:
             continue
         for j, b in enumerate(q):
             out[i + j] += a * b
-    return polyutil.trim(out)
+    return trim(out)
 
 
 def scale(p: list, c) -> list:
@@ -207,21 +224,21 @@ def divmod_exact(p: list, q: list) -> tuple:
         raise ZeroDivisionError("polynomial division by zero")
     rem = [Fraction(c) for c in p]
     quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    dq, lead = polyutil.degree(q), q[-1]
-    while polyutil.degree(rem) >= dq and rem:
-        shift = polyutil.degree(rem) - dq
+    dq, lead = degree(q), q[-1]
+    while degree(rem) >= dq and rem:
+        shift = degree(rem) - dq
         coeff = rem[-1] / lead
         quot[shift] = coeff
         for i, c in enumerate(q):
             rem[shift + i] -= coeff * c
-        polyutil.trim(rem)
-    return polyutil.trim(quot), rem
+        trim(rem)
+    return trim(quot), rem
 
 
 def gcd_q(p: list, q: list) -> list:
     """Monic gcd over Q ([] if both zero)."""
-    a = polyutil.trim([Fraction(c) for c in p])
-    b = polyutil.trim([Fraction(c) for c in q])
+    a = trim([Fraction(c) for c in p])
+    b = trim([Fraction(c) for c in q])
     while b:
         _, r = divmod_exact(a, b)
         a, b = b, r
@@ -247,7 +264,7 @@ class _FractionRF:
         return cls([Fraction(0), Fraction(1)], [Fraction(1)])
 
     def _guard(self, pos):
-        if polyutil.degree(self.num) > parsing._MAX_DEGREE or polyutil.degree(self.den) > parsing._MAX_DEGREE:
+        if degree(self.num) > parsing._MAX_DEGREE or degree(self.den) > parsing._MAX_DEGREE:
             raise MapSyntaxError("intermediate degree too large", pos)
         return self
 
@@ -301,10 +318,10 @@ def parse_map_oracle(text: str) -> Lift:
     common = gcd_q(rf.num, rf.den)
     num, _ = divmod_exact(rf.num, common)
     den, _ = divmod_exact(rf.den, common)
-    deg = max(polyutil.degree(num), polyutil.degree(den))
+    deg = max(degree(num), degree(den))
     if deg != 2:
         raise DegreeError(f"map has degree {deg}, expected 2")
-    lead = num[2] if polyutil.degree(num) == 2 else den[2]
+    lead = num[2] if degree(num) == 2 else den[2]
     num = scale(num, 1 / lead)
     den = scale(den, 1 / lead)
 
@@ -332,15 +349,9 @@ def trial_division_is_prime(n: int) -> bool:
 # mod-p polynomial helpers; dense low-to-high int lists, [] = zero
 
 
-def _trim_p(f: list) -> list:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
 def _divmod_p(f: list, g: list, p: int) -> tuple:
     rem = [c % p for c in f]
-    _trim_p(rem)
+    trim(rem)
     dg = len(g) - 1
     lead_inv = pow(g[-1], -1, p)
     quot = [0] * max(len(rem) - dg, 0)
@@ -350,13 +361,13 @@ def _divmod_p(f: list, g: list, p: int) -> tuple:
         quot[shift] = coeff
         for i, c in enumerate(g):
             rem[shift + i] = (rem[shift + i] - coeff * c) % p
-        _trim_p(rem)
+        trim(rem)
     return quot, rem
 
 
 def _gcd_p(f: list, g: list, p: int) -> list:
-    a = _trim_p([c % p for c in f])
-    b = _trim_p([c % p for c in g])
+    a = trim([c % p for c in f])
+    b = trim([c % p for c in g])
     while b:
         _, r = _divmod_p(a, b, p)
         a, b = b, r
@@ -369,7 +380,7 @@ def _gcd_p(f: list, g: list, p: int) -> list:
 def _dehomogenize(form: tuple) -> tuple:
     """(low-to-high univariate part, power of Y split off)."""
     low_to_high = list(reversed(form))
-    univ = _trim_p(list(low_to_high))
+    univ = trim(list(low_to_high))
     if not univ:
         return [], None
     y_power = len(form) - len(univ)

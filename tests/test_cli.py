@@ -204,22 +204,29 @@ def test_parse_map_matches_fraction_oracle(text):
     assert _parse_outcome(parse_map, text) == _parse_outcome(parse_map_oracle, text)
 
 
-def test_parse_map_calls_no_polyutil(monkeypatch):
-    from quadberk import polyutil
-
+def test_parse_map_builds_only_the_lifts_fractions():
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
         # the examples, not the "<expr>" placeholder
         readme_maps = list(dict.fromkeys(re.findall(r'(?:--map |parse_map\()"([^"<]+)"', fh.read())))
     assert len(readme_maps) >= 3
-    expected = [parse_map_oracle(text) for text in readme_maps]
+    # every Fraction construction anywhere is counted; restored exactly after
+    new = Fraction.__dict__["__new__"]
+    built = 0
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("parse_map called polyutil")
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new.__func__(cls, *args, **kwargs)
 
-    for name, value in vars(polyutil).items():
-        if callable(value) and getattr(value, "__module__", None) == polyutil.__name__:
-            monkeypatch.setattr(polyutil, name, refuse)
-    assert [parse_map(text) for text in readme_maps] == expected
+    for text in readme_maps:
+        expected = parse_map_oracle(text)
+        built = 0
+        Fraction.__new__ = staticmethod(counting_new)
+        try:
+            lift = parse_map(text)
+        finally:
+            Fraction.__new__ = new
+        assert (lift, built) == (expected, 6), text
 
 
 def _run_json(capsys, argv):

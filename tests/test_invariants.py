@@ -18,7 +18,18 @@ from quadberk import (
     multiple_fixed_lift,
     sigma_invariants,
 )
-from _support import esf3, lagrange_interpolate, rand_lift, rand_mobius, sigma_milnor_oracle
+from _support import (
+    add,
+    esf3,
+    lagrange_interpolate,
+    mul,
+    perm_det,
+    rand_lift,
+    rand_mobius,
+    scale,
+    sigma_milnor_oracle,
+    sylvester_matrix,
+)
 
 Z_SQUARED = Lift(1, 0, 0, 0, 0, 1)
 
@@ -161,23 +172,100 @@ def test_sigma_ignores_projective_scaling(lift, c):
 
 def test_sigma_checks_its_cubic(monkeypatch):
     # the check must survive python -O, so it may not be an assert
-    from quadberk import polyutil
+    from quadberk import invariants
 
-    exact = polyutil.resultant
+    exact = invariants._det
 
-    def quadratic_first(*args):
+    def quadratic_first(rows):
         # M(t) = t^2 + 1 on the first four calls, the true values after: a
         # retry would then succeed
         nonlocal calls
         t, calls = calls, calls + 1
-        return t * t + 1 if t < 4 else exact(*args)
+        return t * t + 1 if t < 4 else exact(rows)
 
-    monkeypatch.setattr(polyutil, "resultant", quadratic_first)
+    monkeypatch.setattr(invariants, "_det", quadratic_first)
     for lift in (distinct_fixed_lift(Fraction(1, 3), 2), Lift(1, 2, 3, 4, 5, 7)):
         calls = 0
         with pytest.raises(InternalInvariantError):
             sigma_invariants(lift)
         assert calls == 4
+
+
+small_entries = st.integers(-50, 50) | st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
+
+
+@st.composite
+def square_matrices(draw):
+    """An n x n matrix, n = 1..5, of ints and Fractions: unconstrained, with
+    a zero first pivot (a row swap, or no pivot at all), or singular (one
+    row a multiple of another; for n = 1, the zero matrix)."""
+    n = draw(st.integers(1, 5))
+    rows = [draw(st.lists(small_entries, min_size=n, max_size=n)) for _ in range(n)]
+    shape = draw(st.sampled_from(("any", "zero pivot", "singular")))
+    if shape == "zero pivot":
+        rows[0][0] = 0
+    elif shape == "singular":
+        if n == 1:
+            rows[0][0] = 0
+        else:
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(small_entries)
+            rows[j] = [c * x for x in rows[i]]
+    return rows
+
+
+@given(square_matrices())
+@settings(max_examples=400, deadline=None)
+def test_det_matches_permutation_expansion(rows):
+    from quadberk import invariants
+
+    det = invariants._det(rows)
+    assert type(det) is Fraction and det == perm_det(rows)
+
+
+@st.composite
+def finite_fixed_ints(draw):
+    """Six integers with b0 != 0 (infinity not fixed) and a nonzero
+    resultant; a2 = 0 (z = 0 fixed) or a1 = t*b2 for some t in 0..3 (a zero
+    constant term in A - t*B) in about a third of the draws each."""
+    big = st.integers(-(2**30), 2**30)
+    a0, a1, a2, b1, b2 = (draw(big) for _ in range(5))
+    b0 = draw(big.filter(bool))
+    shape = draw(st.sampled_from(("any", "a2 = 0", "a1 = t*b2")))
+    if shape == "a2 = 0":
+        a2 = 0
+    elif shape == "a1 = t*b2":
+        a1 = draw(st.integers(0, 3)) * b2
+    assume((a0 * b2 - a2 * b0) ** 2 != (a0 * b1 - a1 * b0) * (a1 * b2 - a2 * b1))
+    return [a0, a1, a2, b0, b1, b2]
+
+
+@given(finite_fixed_ints())
+@settings(max_examples=200, deadline=None)
+def test_sigma_resultants_match_generic_sylvester(ints):
+    # M(t) = Res_z(P, A - t*B) at formal degrees (3, 2), with P = f - z*g,
+    # A = f' - z*g' and B = g built here from f and g, against the
+    # permutation expansion of the generic Sylvester matrix
+    from quadberk import invariants
+
+    a0, a1, a2, b0, b1, b2 = ints
+    f, g = [a2, a1, a0], [b2, b1, b0]
+    z = [0, 1]
+    p_fix = add(f, scale(mul(z, g), -1))
+    a_poly = add([a1, 2 * a0], scale(mul(z, [b1, 2 * b0]), -1))
+    expected = [
+        perm_det(sylvester_matrix(p_fix, add(a_poly, scale(g, -t)), 3, 2)) for t in range(4)
+    ]
+    seen = []
+    table = invariants._difference_table
+
+    def recording(*values):
+        seen.append(values)
+        return table(*values)
+
+    with mock.patch.object(invariants, "_difference_table", recording):
+        invariants._sigma_from_finite_fixed(Lift(*ints), ints)
+    assert seen == [tuple(expected)]
 
 
 @st.composite
@@ -193,14 +281,14 @@ def value_quadruples(draw):
 @given(value_quadruples())
 @settings(max_examples=300, deadline=None)
 def test_difference_table_matches_lagrange(values):
-    from quadberk import invariants, polyutil
+    from quadberk import invariants
 
     cubic = lagrange_interpolate(list(enumerate(values)))
     expected = [6 * c for c in cubic] + [0] * (4 - len(cubic))
     assert list(invariants._difference_table(*values)) == expected
     if expected[3] == 0:
         # sigma of such values raises instead of dividing by zero
-        with mock.patch.object(polyutil, "resultant", side_effect=values):
+        with mock.patch.object(invariants, "_det", side_effect=values):
             with pytest.raises(InternalInvariantError):
                 invariants._sigma_from_finite_fixed(Lift(1, 2, 3, 4, 5, 7), [1, 2, 3, 4, 5, 7])
 

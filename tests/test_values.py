@@ -1,5 +1,5 @@
-"""Value semantics of the package's immutable data types, and the import
-footprint they leave.
+"""Value semantics of the package's immutable data types, the import
+footprint they leave, and the library's checks as raises, not asserts.
 
 Every data type is an immutable ``__slots__`` object: equal fields make
 equal values with equal hashes, a value never equals an instance of
@@ -7,6 +7,7 @@ another class or a plain tuple, no attribute can be set or deleted, and
 the repr is pinned because ``ConsistencyFailure`` dumps print it.
 """
 
+import ast
 import copy
 import pickle
 import subprocess
@@ -200,3 +201,12 @@ def test_import_loads_no_dataclass_machinery():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_route_checks_are_raises_not_asserts():
+    # python -O strips assert statements, so a check written as one would
+    # vanish there: the library's checks raise
+    for path in sorted((SRC / "quadberk").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert statements at lines {lines}"
