@@ -4,8 +4,8 @@ The three fixed points of a quadratic rational map carry multipliers
 (lambda_1, lambda_2, lambda_3) that may be irrational even for a rational
 map; their elementary symmetric functions (sigma_1, sigma_2, sigma_3) are
 rational and are computed here exactly from a difference table of four
-integer resultants of the lift's coefficients scaled to integers, or,
-when infinity is fixed, of one conjugate of those integers: each the
+integer resultants of the integers the lift carries from construction,
+or, when infinity is fixed, of one conjugate of those integers: each the
 determinant of a fixed-shape 5x5 Sylvester matrix, by exact Fraction
 elimination.  The identity sigma_3 = sigma_1 - 2, a consequence of the
 rational fixed-point residue formula sum 1/(1 - lambda_i) = 1, is
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import DegenerateMultipliersError, InternalInvariantError
 from .padic import Rat
-from .quadmap import Lift, _conjugate_ints, _integral
+from .quadmap import Lift, _conjugate_ints
 from .value import Value, rat
 
 # a Fraction is immutable, so one instance of each serves every row
@@ -134,15 +134,15 @@ def _deterministic_shift(ints: list) -> list:
 def sigma_invariants(lift: Lift) -> SigmaInvariants:
     """Exact (sigma_1, sigma_2, sigma_3) of the map, conjugation-invariant.
 
-    Computed on the lift's integers, a multiple that sigma does not see.
-    If infinity is fixed (b0 = 0), they are first conjugated once, moving
-    all fixed points into the affine line.  One computation then suffices:
+    Computed on the lift's carried integers, a multiple that sigma does
+    not see.  If infinity is fixed (b0 = 0), they are first conjugated
+    once, moving all fixed points into the affine line.  One computation then suffices:
     the multiplier polynomial has degree 3 whenever b0 != 0 (see
     _sigma_from_finite_fixed), and sigma_3 = sigma_1 - 2 holds for every
     map.  Both are still checked, and a failure of either raises
     InternalInvariantError rather than guessing.
     """
-    ints = _integral(lift.coeffs)[0]
+    ints = lift._ints
     if ints[3] == 0:
         ints = _deterministic_shift(ints)
         Lift(*ints)  # a conjugate of a nondegenerate map: checked, not assumed

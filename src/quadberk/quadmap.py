@@ -4,14 +4,15 @@ A map phi = F/G of degree 2 is stored as the six rational coefficients of a
 homogeneous lift [F, G] with F = a0*X^2 + a1*X*Y + a2*Y^2 and
 G = b0*X^2 + b1*X*Y + b2*Y^2.  Nondegeneracy (Sylvester resultant nonzero)
 is enforced at construction.  The resultant and conjugation are computed on
-integers: coefficients are scaled by the lcm of their denominators and one
-closed-form integer kernel is evaluated.  ord_res_at and reduction.reduce_at
-read the conjugate's six integer numerators off one pass, _conjugate_at.
-_profile_lines reads the profile's lines off the numerators at m = 0:
-crucial.find_crucial_on_segment minimizes them on integers, and
-ord_res_profile builds their PLFunction envelope for the CLI's profile
-command and the tests.  ord_res_at and _profile_lines take vp(Res) from one
-helper, _res_ord.
+integers carried from construction: a Lift keeps its coefficients scaled to
+integers by the lcm L of their denominators, L and the integer resultant,
+and one closed-form integer kernel is evaluated on them.  ord_res_at and
+reduction.reduce_at read the conjugate's six integer numerators off one
+pass, _conjugate_at.  _profile_lines reads the profile's lines off the
+numerators at m = 0: crucial.find_crucial_on_segment minimizes them on
+integers, and ord_res_profile builds their PLFunction envelope for the
+CLI's profile command and the tests.  ord_res_at and _profile_lines take
+vp(Res) from one helper, _res_ord.
 
 Type II points of the projective Berkovich line are written in the affine
 chart as a center a in Q together with a radius exponent m, standing for the
@@ -66,17 +67,31 @@ def resultant_forms(f: tuple, g: tuple) -> Fraction:
     return Fraction(_resultant_ints(*ints), L**4)
 
 
-class Lift(Value):
+class _Carried(Value):
+    """The slots of the integers a Lift carries: the coefficients as ints
+    over L, as _integral gives them, and their resultant.  Value reads the
+    fields from the class's own __slots__, so slots declared here, on a
+    base, are not fields: eq, hash, repr and pickling ignore them."""
+
+    __slots__ = ("_ints", "_L", "_res")
+
+
+class Lift(_Carried):
     """Homogeneous degree-2 lift [F, G] of a quadratic rational map."""
 
     __slots__ = ("a0", "a1", "a2", "b0", "b1", "b2")
 
     def __init__(self, a0: Rat, a1: Rat, a2: Rat, b0: Rat, b1: Rat, b2: Rat):
         super().__init__(*map(rat, (a0, a1, a2, b0, b1, b2)))
-        if _resultant_ints(*_integral(self.coeffs)[0]) == 0:
+        ints, L = _integral(self._fields())
+        res = _resultant_ints(*ints)
+        if res == 0:
             raise DegenerateMapError(
                 f"lift {self.coeffs} has resultant 0 (degenerate map)"
             )
+        object.__setattr__(self, "_ints", tuple(ints))
+        object.__setattr__(self, "_L", L)
+        object.__setattr__(self, "_res", res)
 
     @property
     def f_coeffs(self) -> tuple:
@@ -157,8 +172,8 @@ def gauss_point() -> TypeIIPoint:
 
 
 def resultant(lift: Lift) -> Fraction:
-    """Sylvester resultant of the lift, by the closed form of resultant_forms."""
-    return resultant_forms(lift.f_coeffs, lift.g_coeffs)
+    """Sylvester resultant of the lift: the carried integer resultant over L^4."""
+    return Fraction(lift._res, lift._L**4)
 
 
 def normalize(lift: Lift, ctx: PrimeCtx) -> tuple:
@@ -187,13 +202,12 @@ def conjugate(lift: Lift, g: Mobius) -> Lift:
 
     F^g(X,Y) = D*F(AX+BY, CX+DY) - B*G(AX+BY, CX+DY) and
     G^g(X,Y) = -C*F(AX+BY, CX+DY) + A*G(AX+BY, CX+DY); no normalization
-    is applied.  With the lift scaled to integers by L and the matrix by M,
-    every output coefficient is an integer times 1/(L*M^3).
+    is applied.  With the lift the carried ints over L and the matrix scaled
+    to integers by M, every output coefficient is an integer over L*M^3.
     """
-    ints, L = _integral(lift.coeffs)
     (A, B, C, D), M = _integral((g.A, g.B, g.C, g.D))
-    scale = L * M**3
-    return Lift(*(Fraction(n, scale) for n in _conjugate_ints(ints, A, B, C, D)))
+    scale = lift._L * M**3
+    return Lift(*(Fraction(n, scale) for n in _conjugate_ints(lift._ints, A, B, C, D)))
 
 
 class PLFunction(Value):
@@ -272,9 +286,9 @@ def minimize_profile(f: PLFunction) -> tuple:
 
 
 def _conjugate_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> tuple:
-    """(ints, L, nums, scale, v) at a point with integer m: the lift is ints
-    over L, the matrix (p^m, center; 0, 1) is (A, B; 0, M) over M, the
-    conjugate is nums over scale = L*M^3 and v = min vp(nums), so the
+    """(ints, L, nums, scale, v) at a point with integer m: the lift is its
+    carried ints over L, the matrix (p^m, center; 0, 1) is (A, B; 0, M) over
+    M, the conjugate is nums over scale = L*M^3 and v = min vp(nums), so the
     normalized conjugate is nums*p^(-mu)/scale with mu = v - vp(scale).
     """
     if not point.is_integral:
@@ -282,7 +296,7 @@ def _conjugate_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> tuple:
             f"radius exponent {point.radius_exp} is not an integer"
         )
     p, m = ctx.p, int(point.radius_exp)
-    ints, L = _integral(lift.coeffs)
+    ints, L = lift._ints, lift._L
     num, den = point.center.numerator, point.center.denominator
     if m >= 0:
         A, B, M = p**m * den, num, den
@@ -292,9 +306,10 @@ def _conjugate_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> tuple:
     return ints, L, nums, L * M**3, min(_int_ord(n, p) for n in nums if n)
 
 
-def _res_ord(ints, L: int, p: int) -> int:
-    """vp(Res) of the lift that is ints over L (Res is homogeneous of degree 4)."""
-    return _int_ord(_resultant_ints(*ints), p) - 4 * _int_ord(L, p)
+def _res_ord(lift: Lift, p: int) -> int:
+    """vp(Res) of the lift from its carried integer resultant of ints over L
+    (Res is homogeneous of degree 4)."""
+    return _int_ord(lift._res, p) - 4 * _int_ord(lift._L, p)
 
 
 def ord_res_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> int:
@@ -307,13 +322,13 @@ def ord_res_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> int:
     p = 5 takes seconds, nearly all in divmod.  The CLI refuses
     |m|*log2(p) > 2^18.
     """
-    ints, L, nums, scale, v = _conjugate_at(lift, point, ctx)
+    _, _, nums, scale, v = _conjugate_at(lift, point, ctx)
     p = ctx.p
     res = _resultant_ints(*nums)
     # a degenerate conjugate has order INF and fails the check
     direct = _int_ord(res, p) - 4 * v if res else INF
     mu = v - _int_ord(scale, p)
-    formula = _res_ord(ints, L, p) + 6 * int(point.radius_exp) - 4 * mu
+    formula = _res_ord(lift, p) + 6 * int(point.radius_exp) - 4 * mu
     if direct != formula:
         raise InternalInvariantError(
             f"ordRes routes disagree at {point}: direct {direct}, formula {formula}"
@@ -332,10 +347,9 @@ def _profile_lines(lift: Lift, center: Rat, p: int) -> dict:
     intercept is kept.
     """
     center = rat(center)
-    ints, L = _integral(lift.coeffs)
     den = center.denominator
-    nums = _conjugate_ints(ints, den, center.numerator, 0, den)
-    base = _res_ord(ints, L, p) + 4 * _int_ord(L * den**3, p)
+    nums = _conjugate_ints(lift._ints, den, center.numerator, 0, den)
+    base = _res_ord(lift, p) + 4 * _int_ord(lift._L * den**3, p)
     lines = {}
     for k, n in zip((2, 1, 0, 3, 2, 1), nums):
         if n:

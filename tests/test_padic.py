@@ -16,7 +16,7 @@ from quadberk import (
     reduce_residue,
     vp,
 )
-from quadberk.padic import MR_BOUND, _is_prime
+from quadberk.padic import _MR_BASES, MR_BOUND, _is_prime
 from _support import exhaustive_inverse, expand_monic, int_vp, trial_division_is_prime
 
 P5 = PrimeCtx(5)
@@ -49,6 +49,13 @@ def test_pseudoprimes_rejected():
               318665857834031151167461):
         with pytest.raises(ValueError):
             PrimeCtx(n)
+
+
+def test_miller_rabin_bases_are_the_first_13_primes():
+    # MR_BOUND is exact for these bases only, and a changed base can still
+    # reject every pseudoprime above: 42 is a witness for the last of them
+    primes = [n for n in range(2, 50) if trial_division_is_prime(n)]
+    assert _MR_BASES == tuple(primes[:13])
 
 
 def test_primality_bound():

@@ -1,6 +1,8 @@
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,14 +20,20 @@ from quadberk import (
     TypeIIPoint,
     UnboundedProfileError,
     conjugate,
+    distinct_fixed_lift,
+    find_crucial_on_segment,
     gauss_point,
+    lift_to_expr,
     minimize_profile,
+    multiple_fixed_lift,
     normalize,
     ord_res_at,
     ord_res_profile,
     parse_map,
+    reduce_at,
     resultant,
     resultant_forms,
+    sigma_invariants,
     vp,
 )
 from quadberk.quadmap import _conjugate_at, _integral
@@ -252,6 +260,93 @@ def test_ord_res_profile_calls_no_resultant(monkeypatch):
     monkeypatch.setattr(quadmap, "resultant", no_resultant)
     profile = ord_res_profile(parse_map("z + 1/5 + 1/z"), 0, P5)
     assert minimize_profile(profile) == (-1, 2)
+
+
+def _carried(lift: Lift) -> tuple:
+    return lift._ints, lift._L, lift._res
+
+
+def _assert_carries_canonical(lift: Lift) -> None:
+    # the integers every kernel reads are those _integral gives the
+    # coefficients, as a tuple, with their resultant; equal values carry
+    # equal integers, however they were built
+    ints, L = integral_oracle(lift.coeffs)
+    assert type(lift._ints) is tuple and list(lift._ints) == ints and lift._L == L
+    assert lift._res == perm_det(sylvester_rows(ints[:3], ints[3:])) != 0
+    for twin in (Lift(*lift.coeffs), pickle.loads(pickle.dumps(lift))):
+        assert twin == lift and _carried(twin) == _carried(lift)
+
+
+@given(st.randoms(use_true_random=False), small_rat.filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_carried_integers_checks_every_construction_path(rng, c):
+    from quadberk import invariants, quadmap
+
+    lift = rand_lift(rng)
+    g = rand_mobius(rng)
+    s, l1, l2 = (rand_rat(rng, -9, 9, 6) for _ in range(3))
+    paths = [
+        lambda: Lift(*lift.coeffs),
+        lambda: parse_map(lift_to_expr(lift)),
+        lambda: conjugate(lift, g),
+        lambda: lift.scaled(c),
+        lambda: multiple_fixed_lift(s),
+    ]
+    if l1 * l2 != 1:
+        paths.append(lambda: distinct_fixed_lift(l1, l2))
+    at_infinity = (*lift.coeffs[:3], 0, *lift.coeffs[4:])
+    if resultant_forms(at_infinity[:3], at_infinity[3:]):
+        paths.append(lambda: Lift(*at_infinity))
+    for build in paths:
+        built = build()
+        _assert_carries_canonical(built)
+        if built.b0 == 0:
+            # sigma's conjugate off infinity, checked as a Lift
+            shifted = Lift(*invariants._deterministic_shift(built._ints))
+            assert shifted.b0 != 0
+            _assert_carries_canonical(shifted)
+    # a resultant-0 input raises whether built directly or by conjugation
+    u, w, a, b, d, e = (rand_rat(rng, -6, 6, 4) for _ in range(6))
+    common = (u * a, u * b + w * a, w * b, u * d, u * e + w * d, w * e)
+    with pytest.raises(DegenerateMapError):
+        Lift(*common)
+    ints = integral_oracle(common)[0]
+    with mock.patch.object(quadmap, "_conjugate_ints", return_value=ints):
+        with pytest.raises(DegenerateMapError):
+            conjugate(lift, g)
+
+
+def test_kernels_read_the_carried_integers(monkeypatch):
+    from quadberk import quadmap
+
+    lifts = [
+        parse_map("z + 1/5 + 1/z"),
+        Lift(1, Fraction(1, 3), 0, 0, 2, 1),
+        Lift(Fraction(2, 5), 1, Fraction(-3, 10), 5, Fraction(1, 25), 7),
+        conjugate(Lift(1, 0, 1, 0, 0, 1), Mobius(Fraction(1, 5), 2, 1, 1)),
+    ]
+
+    def answers():
+        out = []
+        for lift in lifts:
+            for center in (0, Fraction(2, 5)):
+                points = [TypeIIPoint(center, m) for m in range(-3, 4)]
+                out.append([ord_res_at(lift, pt, P5) for pt in points])
+                out.append(ord_res_profile(lift, center, P5))
+                out.append(find_crucial_on_segment(lift, center, P5))
+                out.append([reduce_at(lift, pt, P5) for pt in points])
+            if lift.b0:
+                # at b0 = 0 sigma checks its conjugate off infinity as a new Lift
+                out.append(sigma_invariants(lift))
+        return out
+
+    expected = answers()
+
+    def no_integral(*args):
+        raise AssertionError("a kernel rebuilt the lift's integers")
+
+    monkeypatch.setattr(quadmap, "_integral", no_integral)
+    assert answers() == expected
 
 
 def test_ord_res_at_examples():
