@@ -48,9 +48,10 @@ def distinct_fixed_lift(lambda1: Rat, lambda2: Rat) -> Lift:
 class CrucialReport(Value):
     """Everything known about xi for one map.
 
-    ``lift`` is the normal form the numbers refer to (the multiplier pair
-    may have been reordered into the convention with the repelling
-    multiplier first, or re-paired to get a unit gap).  ``residue_class``
+    ``lift`` is the normal form the numbers refer to, and xi is in its
+    coordinates: the multiplier pair may have been reordered into the
+    convention with the repelling multiplier first, or re-paired to get a
+    unit gap, and then they are not the input's.  ``residue_class``
     is None exactly when ``residue_unavailable`` explains why (half-integer
     radius exponent).
     """
@@ -213,7 +214,8 @@ def verify_consistency(lift: Lift, ctx: PrimeCtx, centers=None) -> ConsistencyRe
     over them.  _complete_report checks xi against the profile argmin and
     the residue class at xi against the stratum (W1 <-> repelling, W2 <->
     multiplicative with equal payloads, W3 <-> additive, W4 <-> moved).
-    ConsistencyFailure on valid input means an implementation bug.
+    ConsistencyFailure on valid input means an implementation bug.  xi is
+    in the coordinates of ``report.lift``, which may not be the input's.
     """
     sigma = sigma_invariants(lift)
     strat_sigma = stratum(sigma, ctx)

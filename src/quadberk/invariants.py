@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DegenerateMultipliersError, InternalInvariantError
+from .errors import DegenerateMapError, DegenerateMultipliersError, InternalInvariantError
 from .padic import Rat
-from .quadmap import Lift, _conjugate_ints
+from .quadmap import Lift, _conjugate_ints, _resultant_ints
 from .value import Value, rat
 
 # a Fraction is immutable, so one instance of each serves every row
@@ -145,5 +145,6 @@ def sigma_invariants(lift: Lift) -> SigmaInvariants:
     ints = lift._ints
     if ints[3] == 0:
         ints = _deterministic_shift(ints)
-        Lift(*ints)  # a conjugate of a nondegenerate map: checked, not assumed
+        if _resultant_ints(*ints) == 0:  # checked, not assumed
+            raise DegenerateMapError(f"sigma's conjugate off infinity {ints} has resultant 0")
     return _sigma_from_finite_fixed(lift, ints)

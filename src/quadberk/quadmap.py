@@ -286,9 +286,9 @@ def minimize_profile(f: PLFunction) -> tuple:
 
 
 def _conjugate_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> tuple:
-    """(ints, L, nums, scale, v) at a point with integer m: the lift is its
-    carried ints over L, the matrix (p^m, center; 0, 1) is (A, B; 0, M) over
-    M, the conjugate is nums over scale = L*M^3 and v = min vp(nums), so the
+    """(nums, scale, v) at a point with integer m: the lift is its carried
+    ints over L, the matrix (p^m, center; 0, 1) is (A, B; 0, M) over M, the
+    conjugate is nums over scale = L*M^3 and v = min vp(nums), so the
     normalized conjugate is nums*p^(-mu)/scale with mu = v - vp(scale).
     """
     if not point.is_integral:
@@ -296,14 +296,13 @@ def _conjugate_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> tuple:
             f"radius exponent {point.radius_exp} is not an integer"
         )
     p, m = ctx.p, int(point.radius_exp)
-    ints, L = lift._ints, lift._L
     num, den = point.center.numerator, point.center.denominator
     if m >= 0:
         A, B, M = p**m * den, num, den
     else:
         A, B, M = den, num * p**-m, den * p**-m
-    nums = _conjugate_ints(ints, A, B, 0, M)
-    return ints, L, nums, L * M**3, min(_int_ord(n, p) for n in nums if n)
+    nums = _conjugate_ints(lift._ints, A, B, 0, M)
+    return nums, lift._L * M**3, min(_int_ord(n, p) for n in nums if n)
 
 
 def _res_ord(lift: Lift, p: int) -> int:
@@ -322,7 +321,7 @@ def ord_res_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> int:
     p = 5 takes seconds, nearly all in divmod.  The CLI refuses
     |m|*log2(p) > 2^18.
     """
-    _, _, nums, scale, v = _conjugate_at(lift, point, ctx)
+    nums, scale, v = _conjugate_at(lift, point, ctx)
     p = ctx.p
     res = _resultant_ints(*nums)
     # a degenerate conjugate has order INF and fails the check

@@ -91,7 +91,7 @@ def reduce_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> ResidueMap:
     A direct call builds p^|m|, and long division is quadratic in its size,
     as in ord_res_at; the CLI refuses |m|*log2(p) > 2^18.
     """
-    _, _, nums, scale, v = _conjugate_at(lift, point, ctx)
+    nums, scale, v = _conjugate_at(lift, point, ctx)
     p = ctx.p
     q, inv = p**v, pow(_strip(scale, p)[0], -1, p)
     ftilde = tuple(n // q * inv % p for n in nums[:3])

@@ -3,13 +3,20 @@
 The oracles here deliberately avoid the library's computation paths:
 determinants are expanded over permutations, inverses are found by
 exhaustive search, symmetric functions are written out directly.
+
+The seven normal-form families, rand_unit and rand_mobius are the
+benchmark's own generator, perfbench/corpus.py, re-exported here: the
+suite and the benchmark draw the same maps from one copy, and the
+acceptance suite checks its corpus against ACCEPTANCE_CORPUS_SHA256.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
+from pathlib import Path
 
 from quadberk import (
     DegreeError,
@@ -17,9 +24,6 @@ from quadberk import (
     MapSyntaxError,
     Mobius,
     PLFunction,
-    distinct_fixed_lift,
-    lambda3_from,
-    multiple_fixed_lift,
     normalize,
     reduce_residue,
     resultant,
@@ -27,6 +31,12 @@ from quadberk import (
     vp,
 )
 from quadberk import parsing
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from corpus import (  # noqa: E402
+    ACCEPTANCE_CORPUS_SHA256, CASES, DEFAULT_SEED, PER_FAMILY, PRIMES, corpus_lines,
+    family_instance, normal_form_corpus, rand_mobius, rand_unit,
+)
 
 
 def perm_det(rows):
@@ -476,15 +486,6 @@ def rand_rat(rng, lo=-20, hi=20, dmax=12, allow_zero=True) -> Fraction:
             return f
 
 
-def rand_unit(rng, p: int, span: int = 30) -> Fraction:
-    """Random rational with valuation exactly 0."""
-    while True:
-        n = rng.randint(-span, span)
-        d = rng.randint(1, span)
-        if n % p != 0 and d % p != 0:
-            return Fraction(n, d)
-
-
 def rand_rat_bits(rng, bits: int) -> Fraction:
     """Random rational with numerator and denominator of up to `bits` bits."""
     return Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
@@ -497,56 +498,9 @@ def rand_lift(rng) -> Lift:
             return Lift(*cs)
 
 
-def rand_mobius(rng) -> Mobius:
-    while True:
-        a, b, c, d = (rand_rat(rng, -9, 9, 6) for _ in range(4))
-        if a * d - b * c != 0:
-            return Mobius(a, b, c, d)
-
-
-#: the seven normal-form families: the multiple-fixed-point map with
-#: integral / repelling third multiplier, and the five distinct-fixed-point
-#: subcases (good reduction with unit gap, all residues 1, and the three
-#: repelling subcases keyed by the residue of the tame multiplier)
-CASES = ("P1A", "P1B", "Ai", "Aii", "Bi", "Bii", "Biii")
-
-
-def case_instance(kind: str, rng, p: int, ctx):
-    """Random normal-form lift in the requested family over Q_p."""
-    if kind == "P1A":
-        return multiple_fixed_lift(Fraction(p) ** rng.randint(0, 3) * rand_unit(rng, p))
-    if kind == "P1B":
-        return multiple_fixed_lift(Fraction(p) ** -rng.randint(1, 3) * rand_unit(rng, p))
-    if kind == "Ai":
-        while True:
-            l1 = Fraction(p) ** rng.randint(0, 2) * rand_unit(rng, p)
-            l2 = Fraction(p) ** rng.randint(0, 2) * rand_unit(rng, p)
-            if l1 * l2 != 1 and vp(l1 * l2 - 1, ctx) == 0:
-                return distinct_fixed_lift(l1, l2)
-    if kind == "Aii":
-        while True:
-            l1 = 1 + Fraction(p) ** rng.randint(1, 2) * rand_unit(rng, p)
-            l2 = 1 + Fraction(p) ** rng.randint(1, 2) * rand_unit(rng, p)
-            if l1 * l2 == 1:
-                continue
-            if vp(lambda3_from(l1, l2) - 1, ctx) > 0:
-                return distinct_fixed_lift(l1, l2)
-    if kind == "Bi":
-        if p == 2:
-            raise ValueError("Bi needs a unit residue outside {0, 1}: empty over F_2")
-        while True:
-            l1 = Fraction(p) ** -rng.randint(1, 3) * rand_unit(rng, p)
-            l2 = rand_unit(rng, p)
-            if reduce_residue(l2, ctx) != 1:
-                return distinct_fixed_lift(l1, l2)
-    if kind == "Bii":
-        l1 = Fraction(p) ** -rng.randint(1, 3) * rand_unit(rng, p)
-        l2 = 1 + Fraction(p) ** rng.randint(1, 2) * rand_unit(rng, p)
-        return distinct_fixed_lift(l1, l2)
-    if kind == "Biii":
-        while True:
-            l1 = Fraction(p) ** -rng.randint(1, 3) * rand_unit(rng, p)
-            l2 = Fraction(p) ** rng.randint(1, 3) * rand_unit(rng, p)
-            if l1 * l2 != 1:
-                return distinct_fixed_lift(l1, l2)
-    raise ValueError(f"unknown case {kind!r}")
+def case_instance(kind: str, rng, p: int, ctx) -> Lift:
+    """family_instance, with Bi refused at p = 2: its draw loop never ends
+    there, as F_2 has no unit residue outside {0, 1}."""
+    if kind == "Bi" and p == 2:
+        raise ValueError("Bi needs a unit residue outside {0, 1}: empty over F_2")
+    return family_instance(kind, rng, p, ctx)

@@ -6,6 +6,8 @@ equality of Fractions / integers.  Each test prints a single
 passing run.
 """
 
+import functools
+import hashlib
 import random
 from fractions import Fraction
 
@@ -24,33 +26,24 @@ from quadberk import (
     verify_consistency,
     vp,
 )
-from _support import CASES, case_instance, exhaustive_inverse, rand_mobius, rand_lift, rand_rat, rand_unit
-
-PRIMES = (2, 3, 5, 7, 13)
-ODD_PRIMES = (3, 5, 7, 13)
-INSTANCES_PER_CASE = 500
-
-_corpus_cache = None
+from _support import (
+    ACCEPTANCE_CORPUS_SHA256, CASES, DEFAULT_SEED, PER_FAMILY, PRIMES, corpus_lines,
+    exhaustive_inverse, normal_form_corpus, rand_lift, rand_mobius, rand_rat, rand_unit,
+)
 
 
+@functools.cache
 def _corpus():
-    """500 deterministic instances per normal-form family, primes cycling
-    through {2, 3, 5, 7, 13} (Bi is empty over F_2, so it cycles the odd
-    primes), each already verified end to end."""
-    global _corpus_cache
-    if _corpus_cache is not None:
-        return _corpus_cache
-    rng = random.Random(0xC0FFEE)
+    """The seven-family prefix of the default-seed benchmark corpus, 500
+    instances per family, primes cycling through {2, 3, 5, 7, 13} (Bi is
+    empty over F_2, so it cycles the odd primes), checked by hash and each
+    verified end to end."""
+    drawn = normal_form_corpus(DEFAULT_SEED)[: len(CASES) * PER_FAMILY]
+    assert hashlib.sha256(corpus_lines(drawn)).hexdigest() == ACCEPTANCE_CORPUS_SHA256
     entries = []
-    for kind in CASES:
-        primes = ODD_PRIMES if kind == "Bi" else PRIMES
-        for i in range(INSTANCES_PER_CASE):
-            p = primes[i % len(primes)]
-            ctx = PrimeCtx(p)
-            lift = case_instance(kind, rng, p, ctx)
-            report = verify_consistency(lift, ctx)
-            entries.append((kind, ctx, lift, report))
-    _corpus_cache = entries
+    for kind, p, lift in drawn:
+        ctx = PrimeCtx(p)
+        entries.append((kind, ctx, lift, verify_consistency(lift, ctx)))
     return entries
 
 
@@ -73,7 +66,7 @@ def _criterion(number, name):
 @_criterion(1, "stratification over all normal-form families")
 def test_criterion_1_stratification():
     corpus = _corpus()
-    assert len(corpus) == len(CASES) * INSTANCES_PER_CASE
+    assert len(corpus) == len(CASES) * PER_FAMILY
     for kind, ctx, lift, report in corpus:
         # verify_consistency already asserted: sigma stratum == predicted
         # stratum == residue classification at xi, payloads included

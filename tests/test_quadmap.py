@@ -194,7 +194,7 @@ def conjugation_cases(draw):
 def test_normalized_conjugate_matches_two_step_oracle(case):
     lift, point, ctx = case
     p = ctx.p
-    _, _, nums, scale, v = _conjugate_at(lift, point, ctx)
+    nums, scale, v = _conjugate_at(lift, point, ctx)
     mu = v - int_vp(scale, p)
     conj = tuple(Fraction(n, scale) * Fraction(p) ** -mu for n in nums)
     expected, expected_mu = normalized_conjugate_oracle(lift, point, ctx)
