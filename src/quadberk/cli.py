@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: classify, invariants, ordres, profile, reduce-at, find-crucial,
-verify, sweep.  Every command takes -p <prime> and emits either a
+verify, sweep, each declared in one place, the table COMMANDS.  Every
+command takes -p <prime>, refused unless prime, and emits either a
 human-readable listing or, with --json, a single-line JSON document with a
 stable schema (field "schema": 1).  Rationals are rendered as strings
 "num/den" (plain "num" for integers) so consumers never lose precision.
@@ -42,10 +43,6 @@ def fmt_rat(x) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
-
-
-def fmt_val(v) -> str:
-    return "inf" if v == INF else fmt_rat(v)
 
 
 def _detail_json(value):
@@ -89,13 +86,24 @@ def parse_rat(text: str) -> Fraction:
         raise QuadberkError(f"invalid rational {text!r}: {exc}") from exc
 
 
-def _emit(args, payload: dict) -> None:
+def _emit(args, fields: dict) -> None:
+    """One command's fields: as JSON under the schema, or as text."""
     if args.json:
-        print(json.dumps(payload))
+        print(json.dumps({"schema": SCHEMA, **fields}))
+    elif "results" in fields:  # a sweep: one line per row
+        for row in fields["results"]:
+            bits = [f"{key}={row[key]}" for key in ("l1", "l2") if key in row]
+            if "error" in row:
+                bits.append(row["error"])
+            else:
+                bits.append(f"stratum={row['stratum']}")
+                if "x_tilde" in row:
+                    bits.append(f"x_tilde={row['x_tilde']}")
+                bits.append(f"xi=({row['xi']['center']}, {row['xi']['rexp']})")
+                bits.append(f"min_ord_res={row['min_ord_res']}")
+            print("  ".join(bits))
     else:
-        for key, value in payload.items():
-            if key == "schema":
-                continue
+        for key, value in fields.items():
             print(f"{key}: {json.dumps(value) if isinstance(value, (list, dict)) else value}")
 
 
@@ -125,25 +133,18 @@ def _residue_fields(rc) -> dict:
     return fields
 
 
-def cmd_classify(args) -> int:
-    ctx = PrimeCtx(args.p)
+def cmd_classify(args, ctx: PrimeCtx) -> dict:
     sigma = sigma_invariants(parse_map(args.map))
-    payload = {"schema": SCHEMA}
-    payload.update(_stratum_fields(stratum(sigma, ctx)))
-    payload.update(_sigma_fields(sigma))
-    payload["multiplier_valuations"] = [
-        fmt_val(v) for v in multiplier_valuations(sigma, ctx)
+    fields = _stratum_fields(stratum(sigma, ctx))
+    fields.update(_sigma_fields(sigma))
+    fields["multiplier_valuations"] = [
+        "inf" if v == INF else fmt_rat(v) for v in multiplier_valuations(sigma, ctx)
     ]
-    _emit(args, payload)
-    return 0
+    return fields
 
 
-def cmd_invariants(args) -> int:
-    sigma = sigma_invariants(parse_map(args.map))
-    payload = {"schema": SCHEMA}
-    payload.update(_sigma_fields(sigma))
-    _emit(args, payload)
-    return 0
+def cmd_invariants(args, ctx: PrimeCtx) -> dict:
+    return _sigma_fields(sigma_invariants(parse_map(args.map)))
 
 
 #: most bits of p^|m| for --rexp m: ordres and reduce-at build that power
@@ -157,20 +158,16 @@ def _point_from_args(args, ctx: PrimeCtx) -> TypeIIPoint:
     return TypeIIPoint(parse_rat(args.center), rexp)
 
 
-def cmd_ordres(args) -> int:
-    ctx = PrimeCtx(args.p)
+def cmd_ordres(args, ctx: PrimeCtx) -> dict:
     point = _point_from_args(args, ctx)
     value = ord_res_at(parse_map(args.map), point, ctx)
-    _emit(args, {"schema": SCHEMA, "point": _point_dict(point), "ord_res": fmt_rat(value)})
-    return 0
+    return {"point": _point_dict(point), "ord_res": fmt_rat(value)}
 
 
-def cmd_profile(args) -> int:
-    ctx = PrimeCtx(args.p)
+def cmd_profile(args, ctx: PrimeCtx) -> dict:
     lift, center = parse_map(args.map), parse_rat(args.center)
     profile = ord_res_profile(lift, center, ctx)
-    payload = {
-        "schema": SCHEMA,
+    return {
         "center": fmt_rat(center),
         "breakpoints": [fmt_rat(b) for b in profile.breakpoints],
         "pieces": [
@@ -178,55 +175,40 @@ def cmd_profile(args) -> int:
             for s, b in zip(profile.slopes, profile.intercepts)
         ],
     }
-    _emit(args, payload)
-    return 0
 
 
-def cmd_reduce_at(args) -> int:
-    ctx = PrimeCtx(args.p)
+def cmd_reduce_at(args, ctx: PrimeCtx) -> dict:
     point = _point_from_args(args, ctx)
     residue = reduce_at(parse_map(args.map), point, ctx)
-    payload = {
-        "schema": SCHEMA,
+    fields = {
         "point": _point_dict(point),
         "degree": residue.degree,
         "f_tilde": list(residue.ftilde),
         "g_tilde": list(residue.gtilde),
     }
-    payload.update(_residue_fields(classify_residue(residue)))
-    _emit(args, payload)
-    return 0
+    fields.update(_residue_fields(classify_residue(residue)))
+    return fields
 
 
-def cmd_find_crucial(args) -> int:
-    ctx = PrimeCtx(args.p)
+def cmd_find_crucial(args, ctx: PrimeCtx) -> dict:
     lift, center = parse_map(args.map), parse_rat(args.center)
     argmin, value = find_crucial_on_segment(lift, center, ctx)
-    payload = {"schema": SCHEMA, "center": fmt_rat(center), "argmin": fmt_rat(argmin),
-               "min_value": fmt_rat(value)}
-    _emit(args, payload)
-    return 0
+    return {"center": fmt_rat(center), "argmin": fmt_rat(argmin), "min_value": fmt_rat(value)}
 
 
-def _verify_payload(report) -> dict:
-    payload = {"schema": SCHEMA, "consistent": report.consistent, "xi": _point_dict(report.xi)}
-    payload.update(_stratum_fields(report.stratum))
-    if report.residue_class is not None:
-        payload.update(_residue_fields(report.residue_class))
-    else:
-        payload["residue_class"] = "Unavailable"
-        payload["residue_unavailable"] = report.residue_unavailable
-    payload["min_ord_res"] = fmt_rat(report.min_ord_res)
-    payload.update(_sigma_fields(report.sigma))
-    return payload
-
-
-def cmd_verify(args) -> int:
-    ctx = PrimeCtx(args.p)
+def cmd_verify(args, ctx: PrimeCtx) -> dict:
     centers = [parse_rat(c) for c in args.center] if args.center else None
     report = verify_consistency(parse_map(args.map), ctx, centers=centers)
-    _emit(args, _verify_payload(report))
-    return 0
+    fields = {"consistent": report.consistent, "xi": _point_dict(report.xi)}
+    fields.update(_stratum_fields(report.stratum))
+    if report.residue_class is not None:
+        fields.update(_residue_fields(report.residue_class))
+    else:
+        fields["residue_class"] = "Unavailable"
+        fields["residue_unavailable"] = report.residue_unavailable
+    fields["min_ord_res"] = fmt_rat(report.min_ord_res)
+    fields.update(_sigma_fields(report.sigma))
+    return fields
 
 
 #: values in one sweep, and in any one range of it
@@ -255,8 +237,7 @@ def _parse_range(text: str) -> list:
     return [parse_rat(part) for part in text.split(",") if part.strip()]
 
 
-def cmd_sweep(args) -> int:
-    ctx = PrimeCtx(args.p)
+def cmd_sweep(args, ctx: PrimeCtx) -> dict:
     if args.form == "A" and args.l2:
         raise QuadberkError("--l2 does not apply to form A (one parameter s)")
     if args.form == "B" and not args.l2:
@@ -280,21 +261,32 @@ def cmd_sweep(args) -> int:
             row["min_ord_res"] = fmt_rat(report.min_ord_res)
             row["consistent"] = report.consistent
         rows.append(row)
-    if args.json:
-        print(json.dumps({"schema": SCHEMA, "form": args.form, "results": rows}))
-    else:
-        for row in rows:
-            bits = [f"{key}={row[key]}" for key in ("l1", "l2") if key in row]
-            if "error" in row:
-                bits.append(row["error"])
-            else:
-                bits.append(f"stratum={row['stratum']}")
-                if "x_tilde" in row:
-                    bits.append(f"x_tilde={row['x_tilde']}")
-                bits.append(f"xi=({row['xi']['center']}, {row['xi']['rexp']})")
-                bits.append(f"min_ord_res={row['min_ord_res']}")
-            print("  ".join(bits))
-    return 0
+    return {"form": args.form, "results": rows}
+
+
+_MAP = ("--map", {"required": True, "help": 'map expression, e.g. "z + 1/5 + 1/z"'})
+_CENTER = ("--center", {"default": "0"})
+_REXP = ("--rexp", {"default": "0", "help": "radius exponent m (integer)"})
+
+#: every subcommand: name, help, its options after -p and --json as
+#: (flag, add_argument keywords), and its function (args, ctx) -> fields
+COMMANDS = (
+    ("classify", "stratum W1-W4 and sigma invariants", (_MAP,), cmd_classify),
+    ("invariants", "sigma invariants only", (_MAP,), cmd_invariants),
+    ("ordres", "ordRes at one type II point", (_MAP, _CENTER, _REXP), cmd_ordres),
+    ("profile", "exact piecewise-affine ordRes profile", (_MAP, _CENTER), cmd_profile),
+    ("reduce-at", "residue map at one type II point", (_MAP, _CENTER, _REXP), cmd_reduce_at),
+    ("find-crucial", "minimize the ordRes profile on a segment", (_MAP, _CENTER), cmd_find_crucial),
+    ("verify", "cross-check all computation routes", (_MAP, ("--center", {
+        "action": "append", "help": "segment center for maps not in normal form (repeatable)",
+    })), cmd_verify),
+    ("sweep", "batch verification over normal-form parameters", (
+        ("--form", {"choices": ("A", "B"), "required": True,
+                    "help": "A: z + s + 1/z; B: (z^2 + l1 z)/(l2 z + 1)"}),
+        ("--l1", {"required": True, "help": "values for s (form A) or lambda1 (form B)"}),
+        ("--l2", {"help": "values for lambda2 (form B only)"}),
+    ), cmd_sweep),
+)
 
 
 def _ascii_int(text: str) -> int:
@@ -314,65 +306,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact p-adic reduction types of quadratic rational maps over Q.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_map=True):
-        p.add_argument("-p", dest="p", type=_ascii_int, required=True, help="prime p")
-        p.add_argument("--json", action="store_true", help="emit JSON on stdout")
-        if needs_map:
-            p.add_argument("--map", required=True, help='map expression, e.g. "z + 1/5 + 1/z"')
-
-    c = sub.add_parser("classify", help="stratum W1-W4 and sigma invariants")
-    common(c)
-    c.set_defaults(func=cmd_classify)
-
-    c = sub.add_parser("invariants", help="sigma invariants only")
-    common(c)
-    c.set_defaults(func=cmd_invariants)
-
-    c = sub.add_parser("ordres", help="ordRes at one type II point")
-    common(c)
-    c.add_argument("--center", default="0")
-    c.add_argument("--rexp", default="0", help="radius exponent m (integer)")
-    c.set_defaults(func=cmd_ordres)
-
-    c = sub.add_parser("profile", help="exact piecewise-affine ordRes profile")
-    common(c)
-    c.add_argument("--center", default="0")
-    c.set_defaults(func=cmd_profile)
-
-    c = sub.add_parser("reduce-at", help="residue map at one type II point")
-    common(c)
-    c.add_argument("--center", default="0")
-    c.add_argument("--rexp", default="0", help="radius exponent m (integer)")
-    c.set_defaults(func=cmd_reduce_at)
-
-    c = sub.add_parser("find-crucial", help="minimize the ordRes profile on a segment")
-    common(c)
-    c.add_argument("--center", default="0")
-    c.set_defaults(func=cmd_find_crucial)
-
-    c = sub.add_parser("verify", help="cross-check all computation routes")
-    common(c)
-    c.add_argument(
-        "--center",
-        action="append",
-        help="segment center for maps not in normal form (repeatable)",
-    )
-    c.set_defaults(func=cmd_verify)
-
-    c = sub.add_parser("sweep", help="batch verification over normal-form parameters")
-    common(c, needs_map=False)
-    c.add_argument("--form", choices=("A", "B"), required=True,
-                   help="A: z + s + 1/z; B: (z^2 + l1 z)/(l2 z + 1)")
-    c.add_argument("--l1", required=True, help="values for s (form A) or lambda1 (form B)")
-    c.add_argument("--l2", help="values for lambda2 (form B only)")
-    c.set_defaults(func=cmd_sweep)
-
+    for name, help_text, options, func in COMMANDS:
+        c = sub.add_parser(name, help=help_text)
+        c.add_argument("-p", type=_ascii_int, required=True, help="prime p")
+        c.add_argument("--json", action="store_true", help="emit JSON on stdout")
+        for flag, keywords in options:
+            c.add_argument(flag, **keywords)
+        c.set_defaults(func=func)
     return parser
 
 
-#: options whose value is a map, a rational or a range of rationals
-_VALUE_OPTIONS = ("--map", "--center", "--rexp", "--l1", "--l2")
+#: options whose value is a map, a rational or a range of rationals: every
+#: option of the table but --form, whose value is a choice
+_VALUE_OPTIONS = {
+    flag for _, _, options, _ in COMMANDS for flag, keywords in options if "choices" not in keywords
+}
 
 
 def _attach_negative_values(argv: list) -> list:
@@ -414,15 +362,11 @@ def _run(argv) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        _emit(args, args.func(args, PrimeCtx(args.p)))
+        return 0
     except ConsistencyFailure as exc:
-        if getattr(args, "json", False):
-            print(json.dumps({
-                "schema": SCHEMA,
-                "consistent": False,
-                "detail": str(exc),
-                "details": _detail_json(exc.details),
-            }))
+        if args.json:
+            _emit(args, {"consistent": False, "detail": str(exc), "details": _detail_json(exc.details)})
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 2
     except (QuadberkError, ValueError) as exc:

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -21,8 +22,10 @@ from quadberk import (
     sigma_invariants,
 )
 import quadberk
-from quadberk.cli import fmt_rat, run
+from quadberk.cli import COMMANDS, fmt_rat, run
 from _support import parse_map_oracle, rand_lift
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def test_parse_map_examples():
@@ -205,7 +208,7 @@ def test_parse_map_matches_fraction_oracle(text):
 
 
 def test_parse_map_builds_only_the_lifts_fractions():
-    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+    with open(README, encoding="utf-8") as fh:
         # the examples, not the "<expr>" placeholder
         readme_maps = list(dict.fromkeys(re.findall(r'(?:--map |parse_map\()"([^"<]+)"', fh.read())))
     assert len(readme_maps) >= 3
@@ -528,6 +531,40 @@ def test_python_m_cli_matches_run(capsys):
     assert proc.stdout == expected
 
 
+#: a valid value for each required option of the command table
+REQUIRED_VALUES = {"--map": "z^2", "--form": "A", "--l1": "1"}
+
+
+@pytest.mark.parametrize("p", ["4", "1", str(2**89 - 1)])
+@pytest.mark.parametrize("name, options", [(name, options) for name, _, options, _ in COMMANDS],
+                         ids=[name for name, *_ in COMMANDS])
+def test_cli_checks_the_prime_for_every_command(capsys, name, options, p):
+    # the same command line runs at p = 5, so the prime alone is refused
+    rest = [token for flag, keywords in options if keywords.get("required")
+            for token in (flag, REQUIRED_VALUES[flag])]
+    assert run([name, "-p", "5", *rest]) == 0
+    capsys.readouterr()
+    assert run([name, "-p", p, *rest]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_readme_command_line_examples(capsys):
+    # each "$ quadberk ..." line of the README's command-line block exits 0
+    # and prints what the README shows, up to its "..."
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    lines = section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    examples = [(line, lines[i + 1] if i + 1 < len(lines) else "") for i, line in enumerate(lines)
+                if line.startswith("$ quadberk ")]
+    assert len(examples) >= 7
+    for line, shown in examples:
+        assert run(shlex.split(line)[2:]) == 0, line
+        out = capsys.readouterr().out
+        if shown and not shown.startswith("$"):
+            assert out.startswith(shown.split("...")[0]), line
+
+
 def test_cli_prime_beyond_primality_bound(capsys):
     assert run(["classify", "-p", str(2**89 - 1), "--map", "z^2", "--json"]) == 1
     captured = capsys.readouterr()
@@ -613,7 +650,7 @@ primes = st.one_of(
 ).map(str)
 
 
-@given(st.sampled_from(["classify", "invariants", "verify", "ordres", "reduce-at", "profile", "find-crucial"]),
+@given(st.sampled_from([name for name, _, options, _ in COMMANDS if "--map" in dict(options)]),
        primes, map_texts, st.booleans())
 @settings(max_examples=200, deadline=5000)
 def test_cli_never_raises(command, p, text, as_json):

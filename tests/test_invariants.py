@@ -294,8 +294,9 @@ def test_difference_table_matches_lagrange(values):
 
 
 def test_sigma_checks_its_shift(monkeypatch):
-    # the integer conjugate off infinity is built as a Lift, so a degenerate
-    # one raises instead of giving a sigma; not an assert, as -O would drop it
+    # the integer conjugate off infinity is checked by its resultant, so a
+    # degenerate one raises instead of giving a sigma; not an assert, as -O
+    # would drop it
     from quadberk import invariants
 
     monkeypatch.setattr(invariants, "_conjugate_ints", lambda ints, *matrix: [1, 0, 0, 1, 0, 0])

@@ -301,7 +301,7 @@ def test_carried_integers_checks_every_construction_path(rng, c):
         built = build()
         _assert_carries_canonical(built)
         if built.b0 == 0:
-            # sigma's conjugate off infinity, checked as a Lift
+            # sigma's conjugate off infinity, built here as a Lift to check it
             shifted = Lift(*invariants._deterministic_shift(built._ints))
             assert shifted.b0 != 0
             _assert_carries_canonical(shifted)
@@ -335,9 +335,9 @@ def test_kernels_read_the_carried_integers(monkeypatch):
                 out.append(ord_res_profile(lift, center, P5))
                 out.append(find_crucial_on_segment(lift, center, P5))
                 out.append([reduce_at(lift, pt, P5) for pt in points])
-            if lift.b0:
-                # at b0 = 0 sigma checks its conjugate off infinity as a new Lift
-                out.append(sigma_invariants(lift))
+            # at b0 = 0 too: sigma checks its conjugate off infinity by its
+            # integer resultant and builds no Lift
+            out.append(sigma_invariants(lift))
         return out
 
     expected = answers()
