@@ -147,7 +147,7 @@ def cmd_invariants(args, ctx: PrimeCtx) -> dict:
     return _sigma_fields(sigma_invariants(parse_map(args.map)))
 
 
-#: most bits of p^|m| for --rexp m: ordres and reduce-at build that power
+#: most bits of p^|m| for --rexp m: ordres builds up to its cube, reduce-at no power but the same check
 _MAX_POWER_BITS = 2**18
 
 

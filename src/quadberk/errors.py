@@ -69,8 +69,8 @@ class ConsistencyFailure(QuadberkError):
         return "\n".join(lines)
 
 
-class InternalInvariantError(QuadberkError):
-    """An internal cross-check failed (dual evaluation routes disagree)."""
+class InternalInvariantError(ConsistencyFailure):
+    """An internal cross-check failed (dual routes disagree): a bug, so CLI exit code 2."""
 
 
 class MapSyntaxError(QuadberkError):

@@ -6,13 +6,14 @@ G = b0*X^2 + b1*X*Y + b2*Y^2.  Nondegeneracy (Sylvester resultant nonzero)
 is enforced at construction.  The resultant and conjugation are computed on
 integers carried from construction: a Lift keeps its coefficients scaled to
 integers by the lcm L of their denominators, L and the integer resultant,
-and one closed-form integer kernel is evaluated on them.  ord_res_at and
-reduction.reduce_at read the conjugate's six integer numerators off one
-pass, _conjugate_at.  _profile_lines reads the profile's lines off the
-numerators at m = 0: crucial.find_crucial_on_segment minimizes them on
-integers, and ord_res_profile builds their PLFunction envelope for the
-CLI's profile command and the tests.  ord_res_at and _profile_lines take
-vp(Res) from one helper, _res_ord.
+and one closed-form integer kernel is evaluated on them.  Every read along
+a segment takes one integer table, _segment: the conjugate's six numerators
+at m = 0, their p-orders and vp(Res).  _profile_lines reads the profile's
+lines off it (crucial.find_crucial_on_segment minimizes them on integers,
+ord_res_profile builds their PLFunction envelope), ord_res_at evaluates
+them at m and checks them against the resultant of the conjugate's own
+integers, and reduction.reduce_at reads the residue map off it with no
+power of p.
 
 Type II points of the projective Berkovich line are written in the affine
 chart as a center a in Q together with a radius exponent m, standing for the
@@ -285,49 +286,51 @@ def minimize_profile(f: PLFunction) -> tuple:
     return m, f(m)
 
 
-def _conjugate_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> tuple:
-    """(nums, scale, v) at a point with integer m: the lift is its carried
-    ints over L, the matrix (p^m, center; 0, 1) is (A, B; 0, M) over M, the
-    conjugate is nums over scale = L*M^3 and v = min vp(nums), so the
-    normalized conjugate is nums*p^(-mu)/scale with mu = v - vp(scale).
+#: the power of p^m in each conjugate coefficient: a0, a1, a2, b0, b1, b2
+_K = (2, 1, 0, 3, 2, 1)
+
+
+def _segment(lift: Lift, center: Rat, p: int) -> tuple:
+    """(nums, ords, base): the integer table of the segment at ``center``.
+
+    The conjugate by z -> center + p^m z has the coefficients
+    nums[i] * p^(k_i*m) over L*den^3, k = _K, where nums are the integers
+    of the conjugate at m = 0; ords are their p-orders (INF for 0), and
+    base = vp(Res) + 4*vp(L*den^3) = vp(carried Res) + 12*vp(den).
     """
+    center = rat(center)
+    den = center.denominator
+    nums = _conjugate_ints(lift._ints, den, center.numerator, 0, den)
+    ords = [_int_ord(n, p) if n else INF for n in nums]
+    return nums, ords, _int_ord(lift._res, p) + 12 * _int_ord(den, p)
+
+
+def _radius(point: TypeIIPoint) -> int:
+    """The radius exponent m of a point, refused unless an integer."""
     if not point.is_integral:
-        raise NonIntegralRadiusError(
-            f"radius exponent {point.radius_exp} is not an integer"
-        )
-    p, m = ctx.p, int(point.radius_exp)
-    num, den = point.center.numerator, point.center.denominator
-    if m >= 0:
-        A, B, M = p**m * den, num, den
-    else:
-        A, B, M = den, num * p**-m, den * p**-m
-    nums = _conjugate_ints(lift._ints, A, B, 0, M)
-    return nums, lift._L * M**3, min(_int_ord(n, p) for n in nums if n)
-
-
-def _res_ord(lift: Lift, p: int) -> int:
-    """vp(Res) of the lift from its carried integer resultant of ints over L
-    (Res is homogeneous of degree 4)."""
-    return _int_ord(lift._res, p) - 4 * _int_ord(lift._L, p)
+        raise NonIntegralRadiusError(f"radius exponent {point.radius_exp} is not an integer")
+    return int(point.radius_exp)
 
 
 def ord_res_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> int:
     """ordRes of the map at a type II point with integer radius exponent m.
 
-    Computed two ways on the integers of _conjugate_at, building no Lift, and
-    checked for agreement: vp(Res(nums)) - 4v (Res is homogeneous of degree 4)
-    and the formula vp(Res) + 6m - 4*mu of ord_res_profile.  A direct call
-    builds p^|m|, and long division is quadratic in its size: m = 300,000 at
-    p = 5 takes seconds, nearly all in divmod.  The CLI refuses
-    |m|*log2(p) > 2^18.
+    Computed two ways on the table of _segment, building no Lift, and
+    checked for agreement.  With v = min_i(vp(nums[i]) + k_i*m), the formula
+    route is the profile's lines at m, base + 6m - 4v.  The direct route is
+    vp(Res) - 4*min vp of the conjugate's own integers
+    nums[i] * p^(k_i*m + 3*max(-m, 0)) (Res is homogeneous of degree 4): it
+    builds p^(3|m|) on purpose, as the independent check, and long division
+    is quadratic in its size, so m = 300,000 at p = 5 takes seconds.  The
+    CLI refuses |m|*log2(p) > 2^18.
     """
-    nums, scale, v = _conjugate_at(lift, point, ctx)
-    p = ctx.p
-    res = _resultant_ints(*nums)
+    p, m = ctx.p, _radius(point)
+    nums, ords, base = _segment(lift, point.center, p)
+    v, shift = min(o + k * m for k, o in zip(_K, ords)), 3 * max(-m, 0)
+    res = _resultant_ints(*(n * p ** (k * m + shift) for k, n in zip(_K, nums)))
     # a degenerate conjugate has order INF and fails the check
-    direct = _int_ord(res, p) - 4 * v if res else INF
-    mu = v - _int_ord(scale, p)
-    formula = _res_ord(lift, p) + 6 * int(point.radius_exp) - 4 * mu
+    direct = _int_ord(res, p) - 4 * (v + shift) if res else INF
+    formula = base + 6 * m - 4 * v
     if direct != formula:
         raise InternalInvariantError(
             f"ordRes routes disagree at {point}: direct {direct}, formula {formula}"
@@ -338,21 +341,16 @@ def ord_res_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> int:
 def _profile_lines(lift: Lift, center: Rat, p: int) -> dict:
     """{slope: intercept} of the ordRes profile's lines at ``center``, on integers.
 
-    The conjugate by z -> center + p^m z has coefficients c_i * p^(k_i*m),
-    k = (2, 1, 0, 3, 2, 1), where c_i is the integer n_i of the conjugate
-    at m = 0 over L*den^3.  A nonzero c_i gives the line
-    m -> vp(Res) + 6m - 4*(vp(c_i) + k_i*m): slope 6 - 4*k_i, intercept
-    vp(Res) + 4*vp(L*den^3) - 4*vp(n_i).  Per slope only the largest
-    intercept is kept.
+    A nonzero nums[i] of _segment gives the line
+    m -> vp(Res) + 6m - 4*(vp(c_i) + k_i*m), c_i = nums[i]/(L*den^3):
+    slope 6 - 4*k_i, intercept base - 4*vp(nums[i]).  Per slope only the
+    largest intercept is kept.
     """
-    center = rat(center)
-    den = center.denominator
-    nums = _conjugate_ints(lift._ints, den, center.numerator, 0, den)
-    base = _res_ord(lift, p) + 4 * _int_ord(lift._L * den**3, p)
+    _, ords, base = _segment(lift, center, p)
     lines = {}
-    for k, n in zip((2, 1, 0, 3, 2, 1), nums):
-        if n:
-            s, c = 6 - 4 * k, base - 4 * _int_ord(n, p)
+    for k, o in zip(_K, ords):
+        if o != INF:
+            s, c = 6 - 4 * k, base - 4 * o
             if s not in lines or c > lines[s]:
                 lines[s] = c
     return lines

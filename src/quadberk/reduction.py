@@ -16,7 +16,7 @@ from enum import Enum
 
 from .errors import InternalInvariantError, QuadberkError
 from .padic import PrimeCtx, _strip
-from .quadmap import Lift, TypeIIPoint, _conjugate_at
+from .quadmap import _K, Lift, TypeIIPoint, _radius, _segment
 from .value import Value
 
 
@@ -76,10 +76,13 @@ def reduce_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> ResidueMap:
     """Residue map of the lift at a type II point with integer radius exponent.
 
     The normalized conjugate by z -> center + p^m z reduces mod p to
-    F~ = (a0, a1, a2) and G~ = (b0, b1, b2), each a numerator of
-    _conjugate_at over p^v times the inverse of the p-free part of L*M^3.
-    If one vanishes, the map is the constant 0 or infinity; otherwise, with
-    the cross product w = (a1*b2 - a2*b1, a2*b0 - a0*b2, a0*b1 - a1*b0):
+    F~ = (a0, a1, a2) and G~ = (b0, b1, b2), read off the m = 0 table of
+    quadmap._segment: coefficient i is the p-free part of nums[i] times the
+    inverse of the p-free part of L*den^3 where vp(nums[i]) + k_i*m is
+    least, and 0 elsewhere, so no power of p is built and any m costs the
+    same.  If one form vanishes, the map is the constant 0 or infinity;
+    otherwise, with the cross product
+    w = (a1*b2 - a2*b1, a2*b0 - a0*b2, a0*b1 - a1*b0):
 
       * w = 0: the forms are proportional; the map is the constant a_i/b_i
         at the first nonzero a_i;
@@ -87,15 +90,14 @@ def reduce_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> ResidueMap:
       * otherwise the common root is (w1 : w2), or (1 : 0) when w2 = 0;
         dividing out X - r*Y leaves (a0, a1 + r*a0) and (b0, b1 + r*b0),
         dividing out Y leaves (a1, a2) and (b1, b2).
-
-    A direct call builds p^|m|, and long division is quadratic in its size,
-    as in ord_res_at; the CLI refuses |m|*log2(p) > 2^18.
     """
-    nums, scale, v = _conjugate_at(lift, point, ctx)
-    p = ctx.p
-    q, inv = p**v, pow(_strip(scale, p)[0], -1, p)
-    ftilde = tuple(n // q * inv % p for n in nums[:3])
-    gtilde = tuple(n // q * inv % p for n in nums[3:])
+    p, m = ctx.p, _radius(point)
+    nums, ords, _ = _segment(lift, point.center, p)
+    orders = [o + k * m for k, o in zip(_K, ords)]
+    v = min(orders)
+    inv = pow(_strip(lift._L * point.center.denominator**3, p)[0], -1, p)
+    reduced = [_strip(n, p)[0] * inv % p if e == v else 0 for n, e in zip(nums, orders)]
+    ftilde, gtilde = tuple(reduced[:3]), tuple(reduced[3:])
     if not any(ftilde):
         return ResidueMap((0,), (1,), ctx)
     if not any(gtilde):

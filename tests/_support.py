@@ -18,12 +18,17 @@ from itertools import permutations
 from math import lcm
 from pathlib import Path
 
+from hypothesis import assume
+from hypothesis import strategies as st
+
 from quadberk import (
     DegreeError,
     Lift,
     MapSyntaxError,
     Mobius,
     PLFunction,
+    PrimeCtx,
+    TypeIIPoint,
     normalize,
     reduce_residue,
     resultant,
@@ -489,6 +494,21 @@ def rand_rat(rng, lo=-20, hi=20, dmax=12, allow_zero=True) -> Fraction:
 def rand_rat_bits(rng, bits: int) -> Fraction:
     """Random rational with numerator and denominator of up to `bits` bits."""
     return Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
+
+
+@st.composite
+def conjugation_cases(draw):
+    """A lift with 40-bit coefficients carrying powers of p, a point whose
+    center may have p in its denominator, m in [-12, 12], and p."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 13)))
+    power = st.integers(0, 6).map(lambda k: p**k)
+    rational = st.builds(
+        lambda n, a, d, b: Fraction(n * a, d * b),
+        st.integers(-(2**40), 2**40), power, st.integers(1, 2**40), power,
+    )
+    cs = draw(st.lists(st.one_of(st.just(Fraction(0)), rational), min_size=6, max_size=6))
+    assume(resultant_forms(tuple(cs[:3]), tuple(cs[3:])) != 0)
+    return Lift(*cs), TypeIIPoint(draw(rational), draw(st.integers(-12, 12))), PrimeCtx(p)
 
 
 def rand_lift(rng) -> Lift:

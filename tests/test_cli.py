@@ -416,6 +416,40 @@ def test_cli_consistency_failure_exit_code(capsys, monkeypatch):
     assert "routes disagree" in captured.err
 
 
+def _cubic_of_degree_2(module):
+    exact = module._difference_table
+    return "_difference_table", lambda *values: (*exact(*values)[:3], 0)
+
+
+def _first_numerator_times_5(module):
+    exact = module._conjugate_ints
+    return "_conjugate_ints", lambda *args: [5 * exact(*args)[0], *exact(*args)[1:]]
+
+
+def _common_root_at_infinity(module):
+    return "_common_root", lambda w, p: None
+
+
+@pytest.mark.parametrize("module_name, patch, argv", [
+    ("invariants", _cubic_of_degree_2, ["verify", "-p", "3", "--map", "z + 1/3 + 1/z"]),
+    ("invariants", _cubic_of_degree_2, ["sweep", "-p", "3", "--form", "A", "--l1", "1/3,1"]),
+    ("quadmap", _first_numerator_times_5, ["ordres", "-p", "5", "--map", "z^2"]),
+    ("reduction", _common_root_at_infinity,
+     ["reduce-at", "-p", "5", "--map", "z + 1/5 + 1/z", "--rexp", "-1"]),
+], ids=["verify-sigma-degree", "sweep-sigma-degree", "ordres-routes", "reduce-at-factor"])
+def test_cli_reports_failed_internal_checks_as_consistency_failures(
+        capsys, monkeypatch, module_name, patch, argv):
+    # a failed internal cross-check is a bug, not an input error: exit 2 and
+    # the JSON dump, also from sweep, which files input errors as rows
+    module = getattr(quadberk, module_name)
+    monkeypatch.setattr(module, *patch(module))
+    code, payload = _run_json(capsys, [*argv, "--json"])
+    assert code == 2
+    assert payload["consistent"] is False and payload["detail"]
+    code = run(argv)
+    assert code == 2 and "consistency failure: " in capsys.readouterr().err
+
+
 def test_cli_consistency_failure_json_details(capsys, monkeypatch):
     from quadberk import ConsistencyFailure, ReductionType, ResidueClass, TypeIIPoint
     from quadberk import cli as cli_module

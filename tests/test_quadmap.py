@@ -36,10 +36,11 @@ from quadberk import (
     sigma_invariants,
     vp,
 )
-from quadberk.quadmap import _conjugate_at, _integral
+from quadberk.quadmap import _K, _integral, _segment
 from _support import (
     FractionSub,
     conjugate_oracle,
+    conjugation_cases,
     int_vp,
     integral_oracle,
     normalized_conjugate_oracle,
@@ -174,29 +175,17 @@ def test_resultant_transformation_law():
             )
 
 
-@st.composite
-def conjugation_cases(draw):
-    """A lift with 40-bit coefficients carrying powers of p, a point whose
-    center may have p in its denominator, m in [-12, 12], and p."""
-    p = draw(st.sampled_from((2, 3, 5, 7, 13)))
-    power = st.integers(0, 6).map(lambda k: p**k)
-    rational = st.builds(
-        lambda n, a, d, b: Fraction(n * a, d * b),
-        st.integers(-(2**40), 2**40), power, st.integers(1, 2**40), power,
-    )
-    cs = draw(st.lists(st.one_of(st.just(Fraction(0)), rational), min_size=6, max_size=6))
-    assume(resultant_forms(tuple(cs[:3]), tuple(cs[3:])) != 0)
-    return Lift(*cs), TypeIIPoint(draw(rational), draw(st.integers(-12, 12))), PrimeCtx(p)
-
-
 @given(conjugation_cases())
 @settings(max_examples=300, deadline=None)
 def test_normalized_conjugate_matches_two_step_oracle(case):
+    # the conjugate by z -> center + p^m z is nums[i] * p^(k_i*m) / (L*den^3)
     lift, point, ctx = case
-    p = ctx.p
-    nums, scale, v = _conjugate_at(lift, point, ctx)
-    mu = v - int_vp(scale, p)
-    conj = tuple(Fraction(n, scale) * Fraction(p) ** -mu for n in nums)
+    p, m = ctx.p, int(point.radius_exp)
+    nums, _, _ = _segment(lift, point.center, p)
+    scale = lift._L * point.center.denominator**3
+    raw = [Fraction(n, scale) * Fraction(p) ** (k * m) for k, n in zip(_K, nums)]
+    mu = min(int_vp(c, p) for c in raw if c)
+    conj = tuple(c * Fraction(p) ** -mu for c in raw)
     expected, expected_mu = normalized_conjugate_oracle(lift, point, ctx)
     # equal as Fractions, coefficient by coefficient, not just projectively
     assert conj == expected.coeffs and type(mu) is int and mu == expected_mu

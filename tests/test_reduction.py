@@ -1,8 +1,10 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 from quadberk import (
     DegenerateMapError,
     InternalInvariantError,
@@ -19,10 +21,11 @@ from quadberk import (
     gauss_point,
     normalize,
     ord_res_at,
+    parse_map,
     reduce_at,
     reduce_residue,
 )
-from _support import rand_lift, rand_rat, rand_unit, residue_forms_oracle
+from _support import conjugation_cases, rand_lift, rand_rat, rand_unit, residue_forms_oracle
 
 P3, P5 = PrimeCtx(3), PrimeCtx(5)
 
@@ -95,18 +98,49 @@ def test_reduce_at_matches_euclid_oracle_on_every_pair(p):
         assert (residue.ftilde, residue.gtilde) == expected, forms
 
 
+def _assert_reduce_at_matches_euclid_oracle(lift, point, ctx):
+    # the two-step route: the normalized conjugate in Fraction arithmetic,
+    # reduced coefficient by coefficient, then the forms by Euclid mod p
+    gamma = Mobius.affine(Fraction(ctx.p) ** int(point.radius_exp), point.center)
+    conj, _ = normalize(conjugate(lift, gamma), ctx)
+    fbar = tuple(reduce_residue(c, ctx) for c in conj.f_coeffs)
+    gbar = tuple(reduce_residue(c, ctx) for c in conj.g_coeffs)
+    residue = reduce_at(lift, point, ctx)
+    assert (residue.ftilde, residue.gtilde) == residue_forms_oracle(fbar, gbar, ctx.p)
+
+
 def test_reduce_at_matches_euclid_oracle_on_random_lifts():
     rng = random.Random(44)
     for _ in range(1500):
         L = rand_lift(rng)
         ctx = PrimeCtx(rng.choice((2, 3, 5, 7, 13)))
         point = TypeIIPoint(rand_rat(rng, -4, 4, 3), rng.randint(-3, 3))
-        gamma = Mobius.affine(Fraction(ctx.p) ** int(point.radius_exp), point.center)
-        conj, _ = normalize(conjugate(L, gamma), ctx)
-        fbar = tuple(reduce_residue(c, ctx) for c in conj.f_coeffs)
-        gbar = tuple(reduce_residue(c, ctx) for c in conj.g_coeffs)
-        residue = reduce_at(L, point, ctx)
-        assert (residue.ftilde, residue.gtilde) == residue_forms_oracle(fbar, gbar, ctx.p)
+        _assert_reduce_at_matches_euclid_oracle(L, point, ctx)
+
+
+@given(conjugation_cases())
+@settings(max_examples=300, deadline=None)
+def test_reduce_at_matches_euclid_oracle_on_conjugation_cases(case):
+    # 40-bit coefficients with powers of p, centers with p in the
+    # denominator, m of either sign
+    _assert_reduce_at_matches_euclid_oracle(*case)
+
+
+@pytest.mark.parametrize("lift", [
+    parse_map("z^2+1/5"),
+    distinct_fixed_lift(Fraction(3, 25), 10),
+    distinct_fixed_lift(2, 3),
+], ids=["z^2+1/5", "Biii", "unit-multipliers"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_reduce_at_builds_no_power_of_p(lift, sign):
+    # the residue map is read off the m = 0 table, so m = 10^6 costs what
+    # m = 64 does; past every crossing of vp(nums[i]) + k_i*m the map no
+    # longer changes with m.  The first two are constant there; the unit
+    # multipliers at 0 and infinity give a degree-1 map at either end
+    start = time.perf_counter()
+    far = reduce_at(lift, TypeIIPoint(0, sign * 10**6), P5)
+    assert time.perf_counter() - start < 1
+    assert far == reduce_at(lift, TypeIIPoint(0, sign * 64), P5)
 
 
 def test_reduce_at_rejects_half_integer():
