@@ -45,23 +45,26 @@ class ReductionType(Value):
         return self.tag
 
 
+def _pole_order(sigma: SigmaInvariants, p: int) -> int:
+    """-mu, mu = min(vp(sigma1), vp(sigma2), 0): the larger p-order of the
+    two denominators, as p divides at most one of numerator and denominator.
+    It is min ordRes over the Berkovich line (Silverman, "The space of
+    rational maps on P^1", Duke Math. J. 94, 1998)."""
+    return max(_int_ord(sigma.sigma1.denominator, p), _int_ord(sigma.sigma2.denominator, p))
+
+
 def specialize(sigma: SigmaInvariants, ctx: PrimeCtx) -> tuple:
     """Specialization of [sigma1 : sigma2 : 1] to P^2(F_p), as an int triple
     normalized so that its first nonzero coordinate is 1.
 
-    Scaled by p^(-mu), mu = min(vp(sigma1), vp(sigma2), 0), a coordinate
-    of valuation mu reduces to its p-free residue and every other one to 0.
-    In lowest terms p divides at most one of numerator and denominator, so
-    -mu is the larger p-order of the two denominators.
+    Scaled by p^(-mu) (_pole_order), a coordinate whose denominator p^(-mu)
+    divides reduces to its p-free residue, and every other one to 0.
     """
     p = ctx.p
-    sigmas = (sigma.sigma1, sigma.sigma2)
-    poles = [_int_ord(s.denominator, p) for s in sigmas]
-    e = max(poles)
-    unit = p**e
-    point = [s.numerator * pow(s.denominator // unit, -1, p) % p if pole == e else 0
-             for s, pole in zip(sigmas, poles)]
-    point.append(1 if e == 0 else 0)
+    unit = p ** _pole_order(sigma, p)
+    point = [s.numerator * pow(s.denominator // unit, -1, p) % p if s.denominator % unit == 0 else 0
+             for s in (sigma.sigma1, sigma.sigma2)]
+    point.append(1 if unit == 1 else 0)
     inv = pow(next(c for c in point if c != 0), -1, p)
     return tuple(c * inv % p for c in point)
 

@@ -18,7 +18,7 @@ import sys
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import log2, prod
+from math import prod
 
 from .classifier import W2, multiplier_valuations, stratum
 from .crucial import (
@@ -147,19 +147,13 @@ def cmd_invariants(args, ctx: PrimeCtx) -> dict:
     return _sigma_fields(sigma_invariants(parse_map(args.map)))
 
 
-#: most bits of p^|m| for --rexp m: ordres builds up to its cube, reduce-at no power but the same check
-_MAX_POWER_BITS = 2**18
-
-
-def _point_from_args(args, ctx: PrimeCtx) -> TypeIIPoint:
+def _point_from_args(args) -> TypeIIPoint:
     rexp = parse_rat(args.rexp)
-    if abs(rexp) > _MAX_POWER_BITS / log2(ctx.p):  # checked before p^|m| is built
-        raise QuadberkError(f"radius exponent {args.rexp} too large: p^|m| over {_MAX_POWER_BITS} bits")
     return TypeIIPoint(parse_rat(args.center), rexp)
 
 
 def cmd_ordres(args, ctx: PrimeCtx) -> dict:
-    point = _point_from_args(args, ctx)
+    point = _point_from_args(args)
     value = ord_res_at(parse_map(args.map), point, ctx)
     return {"point": _point_dict(point), "ord_res": fmt_rat(value)}
 
@@ -178,7 +172,7 @@ def cmd_profile(args, ctx: PrimeCtx) -> dict:
 
 
 def cmd_reduce_at(args, ctx: PrimeCtx) -> dict:
-    point = _point_from_args(args, ctx)
+    point = _point_from_args(args)
     residue = reduce_at(parse_map(args.map), point, ctx)
     fields = {
         "point": _point_dict(point),

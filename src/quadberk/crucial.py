@@ -11,14 +11,14 @@ closed form from the multiplier data.  An exact segment search provides
 the independent route: the profile's minimum is read off its integer lines
 by the largest crossing of a falling and a rising line;
 ``_complete_report`` checks every report against it and the residue class,
-and ``verify_consistency`` adds the sigma specialization.
+and ``verify_consistency`` adds the sigma specialization and -mu.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .classifier import W1, W2, W3, W4, ReductionType, stratum
+from .classifier import W1, W2, W3, W4, ReductionType, _pole_order, stratum
 from .errors import ConsistencyFailure, NotNormalFormError, UnboundedProfileError
 from .invariants import lambda3_from, sigma_invariants
 from .padic import PrimeCtx, Rat, reduce_residue, vp
@@ -209,11 +209,12 @@ class ConsistencyReport(Value):
 def verify_consistency(lift: Lift, ctx: PrimeCtx, centers=None) -> ConsistencyReport:
     """Compute xi by every available route and check that they agree.
 
-    A normal form's closed-form prediction must give the sigma stratum;
-    other maps need segment centers, and xi is the best profile argmin
-    over them.  _complete_report checks xi against the profile argmin and
-    the residue class at xi against the stratum (W1 <-> repelling, W2 <->
-    multiplicative with equal payloads, W3 <-> additive, W4 <-> moved).
+    A normal form's prediction must give the sigma stratum and -mu as its
+    profile minimum (classifier._pole_order); other maps need segment
+    centers, and xi is the best profile argmin over them.  _complete_report
+    checks xi against the profile argmin and the residue class at xi
+    against the stratum (W1 <-> repelling, W2 <-> multiplicative with
+    equal payloads, W3 <-> additive, W4 <-> moved).
     ConsistencyFailure on valid input means an implementation bug.  xi is
     in the coordinates of ``report.lift``, which may not be the input's.
     """
@@ -225,10 +226,13 @@ def verify_consistency(lift: Lift, ctx: PrimeCtx, centers=None) -> ConsistencyRe
             report = predict_xi_multiple_fixed(form[1], ctx)
         else:
             report = predict_xi_distinct_fixed(form[1], form[2], ctx)
-        if strat_sigma != report.stratum:
+        minus_mu = _pole_order(sigma, ctx.p)
+        if strat_sigma != report.stratum or report.min_ord_res != minus_mu:
             raise ConsistencyFailure(
-                f"sigma specialization gives {strat_sigma}, prediction gives {report.stratum}",
-                {"lift": lift, "p": ctx.p, "sigma": sigma.as_tuple()},
+                f"sigma gives {strat_sigma} and -mu = {minus_mu}, the prediction gives "
+                f"{report.stratum} and the profile minimum {report.min_ord_res}",
+                {"lift": lift, "p": ctx.p, "sigma": sigma.as_tuple(),
+                 "min_ord_res": report.min_ord_res, "minus_mu": minus_mu},
             )
     elif not centers:
         raise NotNormalFormError(

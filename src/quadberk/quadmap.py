@@ -8,12 +8,12 @@ integers carried from construction: a Lift keeps its coefficients scaled to
 integers by the lcm L of their denominators, L and the integer resultant,
 and one closed-form integer kernel is evaluated on them.  Every read along
 a segment takes one integer table, _segment: the conjugate's six numerators
-at m = 0, their p-orders and vp(Res).  _profile_lines reads the profile's
-lines off it (crucial.find_crucial_on_segment minimizes them on integers,
-ord_res_profile builds their PLFunction envelope), ord_res_at evaluates
-them at m and checks them against the resultant of the conjugate's own
-integers, and reduction.reduce_at reads the residue map off it with no
-power of p.
+at m = 0, their p-orders and vp(Res), checked against the resultant of the
+numerators themselves.  _profile_lines reads the profile's lines off it
+(crucial.find_crucial_on_segment minimizes them on integers,
+ord_res_profile builds their PLFunction envelope, ord_res_at evaluates
+them at m), and reduction.reduce_at reads the residue map off it; no read
+builds a power of p, so every m costs the same.
 
 Type II points of the projective Berkovich line are written in the affine
 chart as a center a in Q together with a radius exponent m, standing for the
@@ -296,13 +296,24 @@ def _segment(lift: Lift, center: Rat, p: int) -> tuple:
     The conjugate by z -> center + p^m z has the coefficients
     nums[i] * p^(k_i*m) over L*den^3, k = _K, where nums are the integers
     of the conjugate at m = 0; ords are their p-orders (INF for 0), and
-    base = vp(Res) + 4*vp(L*den^3) = vp(carried Res) + 12*vp(den).
+    base = vp(Res) + 4*vp(L*den^3) = vp(carried Res) + 12*vp(den).  The
+    resultant of nums must have p-order base, or InternalInvariantError is
+    raised: every monomial of the resultant has k-weight 6, so that of
+    nums[i] * p^(k_i*m + s) is p^(6m + 4s) times it, and this one check is
+    the direct ordRes route's at every m, for every reader of the table.
     """
     center = rat(center)
     den = center.denominator
     nums = _conjugate_ints(lift._ints, den, center.numerator, 0, den)
-    ords = [_int_ord(n, p) if n else INF for n in nums]
-    return nums, ords, _int_ord(lift._res, p) + 12 * _int_ord(den, p)
+    base = _int_ord(lift._res, p) + 12 * _int_ord(den, p)
+    res = _resultant_ints(*nums)
+    direct = _int_ord(res, p) if res else INF  # a degenerate conjugate fails
+    if direct != base:
+        raise InternalInvariantError(
+            f"resultant of the conjugate at center {center} has p-order {direct}, not {base}",
+            {"lift": lift, "center": center, "p": p, "direct": direct, "base": base},
+        )
+    return nums, [_int_ord(n, p) if n else INF for n in nums], base
 
 
 def _radius(point: TypeIIPoint) -> int:
@@ -315,27 +326,13 @@ def _radius(point: TypeIIPoint) -> int:
 def ord_res_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> int:
     """ordRes of the map at a type II point with integer radius exponent m.
 
-    Computed two ways on the table of _segment, building no Lift, and
-    checked for agreement.  With v = min_i(vp(nums[i]) + k_i*m), the formula
-    route is the profile's lines at m, base + 6m - 4v.  The direct route is
-    vp(Res) - 4*min vp of the conjugate's own integers
-    nums[i] * p^(k_i*m + 3*max(-m, 0)) (Res is homogeneous of degree 4): it
-    builds p^(3|m|) on purpose, as the independent check, and long division
-    is quadratic in its size, so m = 300,000 at p = 5 takes seconds.  The
-    CLI refuses |m|*log2(p) > 2^18.
+    The largest of the profile's lines at m, base + 6m - 4v with
+    v = min_i(vp(nums[i]) + k_i*m) on the table of _segment, whose one
+    check at m = 0 is, by k-weight 6, the direct route's at every m.  No
+    power of p is built, so any m costs the same.
     """
-    p, m = ctx.p, _radius(point)
-    nums, ords, base = _segment(lift, point.center, p)
-    v, shift = min(o + k * m for k, o in zip(_K, ords)), 3 * max(-m, 0)
-    res = _resultant_ints(*(n * p ** (k * m + shift) for k, n in zip(_K, nums)))
-    # a degenerate conjugate has order INF and fails the check
-    direct = _int_ord(res, p) - 4 * (v + shift) if res else INF
-    formula = base + 6 * m - 4 * v
-    if direct != formula:
-        raise InternalInvariantError(
-            f"ordRes routes disagree at {point}: direct {direct}, formula {formula}"
-        )
-    return direct
+    m = _radius(point)
+    return max(s * m + c for s, c in _profile_lines(lift, point.center, ctx.p).items())
 
 
 def _profile_lines(lift: Lift, center: Rat, p: int) -> dict:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import InternalInvariantError, QuadberkError
-from .padic import PrimeCtx, _strip
+from .padic import INF, PrimeCtx, _strip
 from .quadmap import _K, Lift, TypeIIPoint, _radius, _segment
 from .value import Value
 
@@ -93,7 +93,8 @@ def reduce_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> ResidueMap:
     """
     p, m = ctx.p, _radius(point)
     nums, ords, _ = _segment(lift, point.center, p)
-    orders = [o + k * m for k, o in zip(_K, ords)]
+    # INF + k*m overflows once |m| passes the float range
+    orders = [INF if o == INF else o + k * m for k, o in zip(_K, ords)]
     v = min(orders)
     inv = pow(_strip(lift._L * point.center.denominator**3, p)[0], -1, p)
     reduced = [_strip(n, p)[0] * inv % p if e == v else 0 for n, e in zip(nums, orders)]

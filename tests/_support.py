@@ -36,6 +36,8 @@ from quadberk import (
     vp,
 )
 from quadberk import parsing
+from quadberk.padic import _int_ord
+from quadberk.quadmap import _K, _conjugate_ints, _resultant_ints
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from corpus import (  # noqa: E402
@@ -111,6 +113,22 @@ def ord_res_at_oracle(lift: Lift, point, ctx) -> int:
     direct = vp(resultant(conj), ctx)
     assert direct == vp(resultant(lift), ctx) + 6 * int(point.radius_exp) - 4 * mu
     return direct
+
+
+def ord_res_direct_oracle(lift: Lift, point, ctx) -> int:
+    """ordRes at a type II point with integer m by the direct route, whose
+    check quadmap._segment makes once at m = 0: numerator i of the
+    conjugate by z -> center + p^m z, over L*den^3, is
+    nums[i] * p^(k_i*m), so the numerators times
+    p^(k_i*m + 3*max(-m, 0)) are integers, and ordRes is vp of their
+    resultant less 4*(their min vp), Res being homogeneous of degree 4.
+    It builds p^(3|m|), so its cost grows with |m|."""
+    p, m = ctx.p, int(point.radius_exp)
+    assert m == point.radius_exp
+    den, shift = point.center.denominator, 3 * max(-m, 0)
+    nums = _conjugate_ints(lift._ints, den, point.center.numerator, 0, den)
+    scaled = [n * p ** (k * m + shift) for k, n in zip(_K, nums)]
+    return _int_ord(_resultant_ints(*scaled), p) - 4 * min(_int_ord(n, p) for n in scaled if n)
 
 
 def ord_res_profile_oracle(lift: Lift, center, ctx) -> PLFunction:

@@ -28,7 +28,8 @@ from quadberk import (
 )
 from _support import (
     ACCEPTANCE_CORPUS_SHA256, CASES, DEFAULT_SEED, PER_FAMILY, PRIMES, corpus_lines,
-    exhaustive_inverse, normal_form_corpus, rand_lift, rand_mobius, rand_rat, rand_unit,
+    exhaustive_inverse, normal_form_corpus, ord_res_direct_oracle, rand_lift, rand_mobius, rand_rat,
+    rand_unit,
 )
 
 
@@ -122,8 +123,10 @@ def test_criterion_3_sigma_identities():
         lift = rand_lift(rng)
         ctx = PrimeCtx(rng.choice(PRIMES))
         point = TypeIIPoint(rand_rat(rng, -5, 5, 4), rng.randint(-4, 4))
-        # ord_res_at raises InternalInvariantError if its two routes split
-        assert ord_res_at(lift, point, ctx) >= 0
+        # the lines at m, whose table _segment checks against the resultant
+        # at m = 0, against the resultant of the conjugate's own integers at m
+        value = ord_res_at(lift, point, ctx)
+        assert value >= 0 and value == ord_res_direct_oracle(lift, point, ctx)
 
 
 @_criterion(4, "multiplier valuation constraints")

@@ -17,7 +17,9 @@ from quadberk import (
     DegreeError,
     Lift,
     MapSyntaxError,
+    PrimeCtx,
     lift_to_expr,
+    ord_res_profile,
     parse_map,
     sigma_invariants,
 )
@@ -96,18 +98,26 @@ def test_cli_rationals_with_exponents_up_to_the_cap(capsys, text, center):
 
 @pytest.mark.parametrize("p, rexp", [("5", "1e10000"), ("5", "-1e10000"), ("2417851639229258349412301", "10000")])
 @pytest.mark.parametrize("command", ["ordres", "reduce-at"])
-def test_cli_refuses_radius_exponents_above_the_power_cap(capsys, command, p, rexp):
-    # refused before p^|m| is built: 10000 * log2(p) is about 810,000 bits here
+def test_cli_answers_radius_exponents_of_any_size(capsys, command, p, rexp):
+    # no power of p is built, so m = 10^10000 costs what m = 64 does; past
+    # every crossing of the profile's lines the residue map no longer changes
+    m, ctx, lift = Fraction(rexp), PrimeCtx(int(p)), parse_map("z^2+1/5")
     start = time.perf_counter()
-    assert run([command, "-p", p, "--map", "z^2+1/5", f"--rexp={rexp}", "--json"]) == 1
+    code, payload = _run_json(capsys, [command, "-p", p, "--map", "z^2+1/5", f"--rexp={rexp}", "--json"])
     assert time.perf_counter() - start < 1.0
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"radius exponent {rexp}" in captured.err and "262144 bits" in captured.err
+    with _int_str_digits(0):  # m has 10,001 digits
+        assert code == 0 and payload.pop("point") == {"center": "0", "rexp": fmt_rat(m)}
+        if command == "ordres":
+            assert payload == {"schema": 1, "ord_res": fmt_rat(ord_res_profile(lift, 0, ctx)(m))}
+    if command == "reduce-at":
+        near = "64" if m > 0 else "-64"
+        code, expected = _run_json(capsys, [command, "-p", p, "--map", "z^2+1/5", f"--rexp={near}", "--json"])
+        assert code == 0 and expected.pop("point")["rexp"] == near
+        assert payload == expected
 
 
 def test_cli_answers_radius_exponents_under_the_power_cap(capsys):
-    # 5^100000 has about 232,000 bits
+    # m = 100,000 is past the profile's last crossing, on its line 6m + 4
     assert run(["ordres", "-p", "5", "--map", "z^2+1/5", "--rexp", "100000", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["ord_res"] == "600004"
 
@@ -434,9 +444,12 @@ def _common_root_at_infinity(module):
     ("invariants", _cubic_of_degree_2, ["verify", "-p", "3", "--map", "z + 1/3 + 1/z"]),
     ("invariants", _cubic_of_degree_2, ["sweep", "-p", "3", "--form", "A", "--l1", "1/3,1"]),
     ("quadmap", _first_numerator_times_5, ["ordres", "-p", "5", "--map", "z^2"]),
+    ("quadmap", _first_numerator_times_5, ["find-crucial", "-p", "5", "--map", "z^2"]),
+    ("quadmap", _first_numerator_times_5, ["reduce-at", "-p", "5", "--map", "z^2"]),
     ("reduction", _common_root_at_infinity,
      ["reduce-at", "-p", "5", "--map", "z + 1/5 + 1/z", "--rexp", "-1"]),
-], ids=["verify-sigma-degree", "sweep-sigma-degree", "ordres-routes", "reduce-at-factor"])
+], ids=["verify-sigma-degree", "sweep-sigma-degree", "ordres-routes", "find-crucial-table",
+        "reduce-at-table", "reduce-at-factor"])
 def test_cli_reports_failed_internal_checks_as_consistency_failures(
         capsys, monkeypatch, module_name, patch, argv):
     # a failed internal cross-check is a bug, not an input error: exit 2 and

@@ -247,6 +247,31 @@ def test_prediction_and_profile_search_checks(monkeypatch):
         assert details["argmin"] == details["xi"].radius_exp + 1
 
 
+def test_verify_checks_min_ord_res_against_sigma(monkeypatch):
+    # a profile minimum one above sigma's -mu, at the right argmin, passes
+    # _complete_report and fails the sigma-only route of verify_consistency
+    from quadberk import crucial
+
+    minimum = crucial._profile_minimum
+
+    def one_more(lines):
+        argmin, value = minimum(lines)
+        return argmin, value + 1
+
+    monkeypatch.setattr(crucial, "_profile_minimum", one_more)
+    cases = [
+        (multiple_fixed_lift(Fraction(1, 5)), P5),
+        (distinct_fixed_lift(6, 6), P5),
+        (distinct_fixed_lift(Fraction(1, 3), 2), P3),
+    ]
+    for lift, ctx in cases:
+        with pytest.raises(ConsistencyFailure) as exc_info:
+            verify_consistency(lift, ctx)
+        details = exc_info.value.details
+        assert details["lift"] == lift and details["p"] == ctx.p
+        assert details["min_ord_res"] == details["minus_mu"] + 1
+
+
 def test_normal_form_verify_builds_one_profile(monkeypatch):
     # one profile search per verify, on the integer lines: the PLFunction
     # route is for the profile command and the oracle only

@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadberk import (
@@ -34,9 +34,10 @@ from quadberk import (
     resultant,
     resultant_forms,
     sigma_invariants,
+    verify_consistency,
     vp,
 )
-from quadberk.quadmap import _K, _integral, _segment
+from quadberk.quadmap import _K, _integral, _resultant_ints, _segment
 from _support import (
     FractionSub,
     conjugate_oracle,
@@ -45,6 +46,7 @@ from _support import (
     integral_oracle,
     normalized_conjugate_oracle,
     ord_res_at_oracle,
+    ord_res_direct_oracle,
     ord_res_profile_oracle,
     perm_det,
     rand_lift,
@@ -367,6 +369,65 @@ def test_ord_res_at_checks_its_routes(monkeypatch):
     monkeypatch.setattr(quadmap, "_conjugate_ints", first_times_p)
     with pytest.raises(InternalInvariantError):
         ord_res_at(Lift(1, 0, 0, 0, 0, 1), gauss_point(), P5)
+
+
+@pytest.mark.parametrize("reader", [
+    lambda lift: ord_res_profile(lift, 0, P5),
+    lambda lift: find_crucial_on_segment(lift, 0, P5),
+    lambda lift: reduce_at(lift, TypeIIPoint(0, -1), P5),
+    lambda lift: verify_consistency(lift, P5),
+], ids=["ord_res_profile", "find_crucial_on_segment", "reduce_at", "verify_consistency"])
+def test_segment_table_checks_guard_every_reader(monkeypatch, reader):
+    # the resultant check lives in _segment, so the same numerator times p
+    # fails every read of the table, not only ord_res_at
+    from quadberk import quadmap
+
+    exact = quadmap._conjugate_ints
+
+    def first_times_p(ints, A, B, C, D):
+        nums = exact(ints, A, B, C, D)
+        return [nums[0] * 5, *nums[1:]]
+
+    lift = parse_map("z + 1/5 + 1/z")
+    monkeypatch.setattr(quadmap, "_conjugate_ints", first_times_p)
+    with pytest.raises(InternalInvariantError) as exc_info:
+        reader(lift)
+    details = exc_info.value.details
+    assert details["lift"] == lift and details["center"] == 0 and details["p"] == 5
+    assert details["direct"] != details["base"]
+
+
+@given(conjugation_cases())
+@settings(max_examples=200, deadline=None)
+@example((Lift(1, Fraction(1, 2), 1, 0, 1, 0), TypeIIPoint(Fraction(1, 2), 500), PrimeCtx(2)))
+@example((Lift(1, Fraction(1, 2), 1, 0, 1, 0), TypeIIPoint(Fraction(1, 2), -500), PrimeCtx(2)))
+@example((Lift(3, 2, Fraction(1, 4), 1, 0, 5), TypeIIPoint(Fraction(3, 8), 2000), PrimeCtx(2)))
+@example((Lift(3, 2, Fraction(1, 4), 1, 0, 5), TypeIIPoint(Fraction(3, 8), -2000), PrimeCtx(2)))
+@example((Lift(1, Fraction(1, 13), 1, 0, 1, 0), TypeIIPoint(Fraction(2, 13), 500), PrimeCtx(13)))
+@example((Lift(1, Fraction(1, 13), 1, 0, 1, 0), TypeIIPoint(Fraction(2, 13), -500), PrimeCtx(13)))
+@example((Lift(13, 1, Fraction(1, 169), 2, 7, 1), TypeIIPoint(5, 2000), PrimeCtx(13)))
+@example((Lift(13, 1, Fraction(1, 169), 2, 7, 1), TypeIIPoint(5, -2000), PrimeCtx(13)))
+def test_ord_res_at_matches_direct_oracle(case):
+    # the lines at m against the resultant of the conjugate's own integers,
+    # which builds p^(3|m|)
+    lift, point, ctx = case
+    assert ord_res_at(lift, point, ctx) == ord_res_direct_oracle(lift, point, ctx)
+
+
+@given(
+    st.lists(st.integers(-(2**64), 2**64), min_size=6, max_size=6),
+    st.integers(2, 13),
+    st.integers(-20, 20),
+    st.integers(0, 5),
+)
+@settings(max_examples=300, deadline=None)
+def test_resultant_has_k_weight_6(nums, p, m, extra):
+    # every monomial of the resultant has k-weight 6, so scaling numerator i
+    # by p^(k_i*m + s) scales the resultant by p^(6m + 4s): the one check
+    # of _segment at m = 0 is the direct route's check at every m
+    s = 3 * max(-m, 0) + extra
+    scaled = [n * p ** (k * m + s) for k, n in zip(_K, nums)]
+    assert _resultant_ints(*scaled) == p ** (6 * m + 4 * s) * _resultant_ints(*nums)
 
 
 def test_ord_res_at_builds_no_lift(monkeypatch):
