@@ -48,8 +48,12 @@ class ReductionType(Value):
 def _pole_order(sigma: SigmaInvariants, p: int) -> int:
     """-mu, mu = min(vp(sigma1), vp(sigma2), 0): the larger p-order of the
     two denominators, as p divides at most one of numerator and denominator.
-    It is min ordRes over the Berkovich line (Silverman, "The space of
-    rational maps on P^1", Duke Math. J. 94, 1998)."""
+    It is min ordRes over the Berkovich line.  ordRes >= -mu everywhere: at
+    any point the normalized conjugate psi is integral with min vp 0, so
+    Milnor's quartics N1(psi), N2(psi) and Res(psi) are integers with
+    sigma_i = N_i(psi)/Res(psi), and vp(Res(psi)) >= -vp(sigma_i).  That xi
+    attains it is the stratification (Silverman, "The space of rational
+    maps on P^1", Duke Math. J. 94, 1998)."""
     return max(_int_ord(sigma.sigma1.denominator, p), _int_ord(sigma.sigma2.denominator, p))
 
 

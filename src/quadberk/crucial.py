@@ -8,8 +8,8 @@ the minimal-resultant locus xi.  Two normal forms cover all quadratic maps:
 
 and for each this module predicts xi, its stratum and its residue class in
 closed form from the multiplier data.  An exact segment search provides
-the independent route: the profile's minimum is read off its integer lines
-by the largest crossing of a falling and a rising line;
+the independent route: the profile's minimum is read off the lower hull of
+its integer lines, where the slope changes sign;
 ``_complete_report`` checks every report against it and the residue class,
 and ``verify_consistency`` adds the sigma specialization and -mu.
 """
@@ -19,10 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .classifier import W1, W2, W3, W4, ReductionType, _pole_order, stratum
-from .errors import ConsistencyFailure, NotNormalFormError, UnboundedProfileError
+from .errors import CentersMissXiError, ConsistencyFailure, NotNormalFormError
 from .invariants import lambda3_from, sigma_invariants
 from .padic import PrimeCtx, Rat, reduce_residue, vp
-from .quadmap import Lift, TypeIIPoint, _profile_lines
+from .quadmap import Lift, TypeIIPoint, _envelope, _envelope_minimum, _profile_lines
 from .reduction import ResidueKind, classify_residue, reduce_at
 from .value import Value, rat
 
@@ -154,36 +154,11 @@ def predict_xi_distinct_fixed(lambda1: Rat, lambda2: Rat, ctx: PrimeCtx) -> Cruc
     return _complete_report(distinct_fixed_lift(l1, l3), TypeIIPoint(0, 0), ReductionType(W1), ctx)
 
 
-def _profile_minimum(lines: dict) -> tuple:
-    """(argmin, min value), both Fractions, of the maximum of the lines
-    m -> s*m + c given as {s: c} with integer s and c.
-
-    The minimum is the largest value at which a line of negative slope
-    crosses one of positive slope, and every pair crossing at that value
-    crosses at the argmin.  Values n/d are compared by cross-multiplied
-    integers.  The slopes 6 - 4k of _profile_lines are never 0; with no line
-    of one sign there is no single minimizer, and UnboundedProfileError is
-    raised.
-    """
-    falling = [(s, c) for s, c in lines.items() if s < 0]
-    rising = [(s, c) for s, c in lines.items() if s > 0]
-    if not falling or not rising:
-        raise UnboundedProfileError("no single minimizer: all slopes of one sign")
-    best = None
-    for sa, ca in falling:
-        for sb, cb in rising:
-            # crossing at m = (ca - cb)/d with value n/d, d > 0
-            d, n = sb - sa, sb * ca - sa * cb
-            if best is None or n * best[2] > best[1] * d:
-                best = (ca - cb, n, d)
-    return Fraction(best[0], best[2]), Fraction(best[1], best[2])
-
-
 def find_crucial_on_segment(lift: Lift, center: Rat, ctx: PrimeCtx) -> tuple:
     """Exact (argmin, min value) of the ordRes profile along the segment of
-    points centered at ``center``, from the integer lines of _profile_lines;
-    ord_res_profile's envelope has the same minimum."""
-    return _profile_minimum(_profile_lines(lift, center, ctx.p))
+    points centered at ``center``: _envelope_minimum on the envelope of the
+    integer lines of _profile_lines, which ord_res_profile shares."""
+    return _envelope_minimum(_envelope(_profile_lines(lift, center, ctx.p).items()))
 
 
 def identify_normal_form(lift: Lift):
@@ -209,24 +184,26 @@ class ConsistencyReport(Value):
 def verify_consistency(lift: Lift, ctx: PrimeCtx, centers=None) -> ConsistencyReport:
     """Compute xi by every available route and check that they agree.
 
+    -mu (classifier._pole_order) is the least ordRes on the Berkovich line.
     A normal form's prediction must give the sigma stratum and -mu as its
-    profile minimum (classifier._pole_order); other maps need segment
-    centers, and xi is the best profile argmin over them.  _complete_report
-    checks xi against the profile argmin and the residue class at xi
-    against the stratum (W1 <-> repelling, W2 <-> multiplicative with
-    equal payloads, W3 <-> additive, W4 <-> moved).
+    profile minimum; other maps need segment centers, and xi is the best
+    profile argmin over them, which must reach -mu: above it the centers
+    miss xi (CentersMissXiError, an input error), below it is a bug.
+    _complete_report checks xi against the profile argmin and the residue
+    class at xi against the stratum (W1 <-> repelling, W2 <-> multiplicative
+    with equal payloads, W3 <-> additive, W4 <-> moved).
     ConsistencyFailure on valid input means an implementation bug.  xi is
     in the coordinates of ``report.lift``, which may not be the input's.
     """
     sigma = sigma_invariants(lift)
     strat_sigma = stratum(sigma, ctx)
+    minus_mu = _pole_order(sigma, ctx.p)
     form = identify_normal_form(lift)
     if form is not None:
         if form[0] == "multiple":
             report = predict_xi_multiple_fixed(form[1], ctx)
         else:
             report = predict_xi_distinct_fixed(form[1], form[2], ctx)
-        minus_mu = _pole_order(sigma, ctx.p)
         if strat_sigma != report.stratum or report.min_ord_res != minus_mu:
             raise ConsistencyFailure(
                 f"sigma gives {strat_sigma} and -mu = {minus_mu}, the prediction gives "
@@ -245,8 +222,15 @@ def verify_consistency(lift: Lift, ctx: PrimeCtx, centers=None) -> ConsistencyRe
             argmin, min_val = find_crucial_on_segment(lift, center, ctx)
             if best is None or min_val < best[2]:
                 best = (rat(center), argmin, min_val)
-        center, argmin, _ = best
+        center, argmin, min_val = best
+        if min_val > minus_mu:
+            raise CentersMissXiError(f"no segment center reaches xi: the best, {center}, has "
+                                     f"minimum ordRes {min_val}, above -mu = {minus_mu}")
         context = {"lift": lift, "p": ctx.p, "centers": list(centers)}
+        if min_val < minus_mu:
+            raise ConsistencyFailure(
+                f"profile minimum {min_val} at center {center} is below -mu = {minus_mu}",
+                context | {"argmin": argmin, "min_ord_res": min_val, "minus_mu": minus_mu})
         report = _complete_report(lift, TypeIIPoint(center, argmin), strat_sigma, ctx, context)
     return ConsistencyReport(
         True,

@@ -51,6 +51,11 @@ class NotNormalFormError(QuadberkError):
     no segment centers supplied."""
 
 
+class CentersMissXiError(QuadberkError):
+    """No supplied segment center's profile reaches -mu, the least ordRes:
+    the centers miss xi, an input problem."""
+
+
 class ConsistencyFailure(QuadberkError):
     """The independent computation routes disagree.  Firing on valid
     input means an implementation bug; carries a diagnostic dump."""

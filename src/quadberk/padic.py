@@ -115,6 +115,22 @@ def reduce_residue(x: Rat, ctx: PrimeCtx) -> int:
     return f.numerator % ctx.p * pow(f.denominator, -1, ctx.p) % ctx.p
 
 
+def _lower_hull(points) -> list:
+    """Vertices, left to right, of the lower convex hull of points (x, y)
+    with distinct x: the monotone chain, whose turns are compared by
+    cross-multiplication, so int and Fraction points stay exact.  The edge
+    slopes increase strictly."""
+    hull = []
+    for x, y in sorted(points):
+        while len(hull) > 1:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (x - x2) < (y - y2) * (x2 - x1):
+                break
+            hull.pop()
+        hull.append((x, y))
+    return hull
+
+
 class NewtonPolygon(Value):
     """Lower-hull slopes of a polynomial, listed nondecreasing with
     multiplicity (one entry per root)."""
@@ -144,22 +160,8 @@ def newton_slopes(coeffs: list, ctx: PrimeCtx) -> NewtonPolygon:
     if cs[-1] == 0:
         raise ZeroConstantError("constant coefficient is zero; strip zero roots first")
     deg = len(cs) - 1
-    points = sorted(
-        (deg - idx, vp(c, ctx)) for idx, c in enumerate(cs) if c != 0
-    )
-    hull = []
-    for pt in points:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            x3, y3 = pt
-            # pop the middle point unless the turn is strictly convex
-            if (y2 - y1) * (x3 - x2) >= (y3 - y2) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
+    hull = _lower_hull((deg - idx, vp(c, ctx)) for idx, c in enumerate(cs) if c != 0)
     slopes = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = Fraction(y2 - y1, x2 - x1)
-        slopes.extend([slope] * (x2 - x1))
+        slopes.extend([Fraction(y2 - y1, x2 - x1)] * (x2 - x1))
     return NewtonPolygon(tuple(slopes))

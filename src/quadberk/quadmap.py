@@ -38,7 +38,7 @@ from .errors import (
     SingularMatrixError,
     UnboundedProfileError,
 )
-from .padic import INF, PrimeCtx, Rat, _int_ord, vp
+from .padic import INF, PrimeCtx, Rat, _int_ord, _lower_hull, vp
 from .value import Value, rat
 
 
@@ -239,30 +239,19 @@ class PLFunction(Value):
 
     @classmethod
     def upper_envelope(cls, lines) -> "PLFunction":
-        """Pointwise maximum of affine functions given as (slope, intercept)."""
+        """Pointwise maximum of affine functions given as (slope, intercept):
+        the largest intercept per slope, then the pieces of _envelope."""
         best = {}
         for k, b in lines:
-            k, b = rat(k), rat(b)
+            # an int is read as it is, so integer lines stay integers to the end
+            k, b = k if type(k) is int else rat(k), b if type(b) is int else rat(b)
             if k not in best or b > best[k]:
                 best[k] = b
-        items = sorted(best.items())
-        if not items:
+        if not best:
             raise ValueError("empty set of affine functions")
-        env = [items[0]]
-        bps = []
-        for k, b in items[1:]:
-            while True:
-                k0, b0 = env[-1]
-                x = Fraction(b0 - b, k - k0)
-                if bps and x <= bps[-1]:
-                    env.pop()
-                    bps.pop()
-                    continue
-                env.append((k, b))
-                bps.append(x)
-                break
-        slopes, intercepts = zip(*env)
-        return cls(tuple(slopes), tuple(intercepts), tuple(bps))
+        pieces = _envelope(best.items())
+        return cls(tuple(rat(k) for k, _ in pieces), tuple(rat(b) for _, b in pieces),
+                   tuple(Fraction(b1 - b2, k2 - k1) for (k1, b1), (k2, b2) in zip(pieces, pieces[1:])))
 
     def __call__(self, m: Rat) -> Fraction:
         m = rat(m)
@@ -270,20 +259,30 @@ class PLFunction(Value):
         return self.slopes[i] * m + self.intercepts[i]
 
 
-def minimize_profile(f: PLFunction) -> tuple:
-    """Exact (argmin, min_value) of a convex piecewise-affine function, the
-    argmin a Fraction.
+def _envelope(lines) -> list:
+    """The lines (k, b), one per slope k, that are pieces of the upper
+    envelope of m -> k*m + b, in slope order: the lower hull of the points
+    (k, -b).  Pieces (k1, b1) and (k2, b2) meet at m = (b1 - b2)/(k2 - k1)."""
+    return [(k, -y) for k, y in _lower_hull((k, -b) for k, b in lines)]
 
-    An ordRes profile has slopes in {-6, -2, 2, 6}, never 0, so its
-    minimizer is one point.  Raises UnboundedProfileError when there is no
-    single minimizer: all slopes of one sign, or a zero-slope piece.
-    """
-    slopes = f.slopes
-    if slopes[0] > 0 or slopes[-1] < 0 or 0 in slopes:
+
+def _envelope_minimum(pieces) -> tuple:
+    """(argmin, min value), both Fractions, of a convex piecewise-affine
+    function given by its pieces (k, b) in slope order, ints or Fractions:
+    where the last piece of negative slope meets the first of positive
+    slope.  A zero-slope piece, or slopes all of one sign, leave no single
+    minimizer (an ordRes profile's slopes are never 0): UnboundedProfileError."""
+    j = next((i for i, (k, _) in enumerate(pieces) if k >= 0), 0)
+    if j == 0 or pieces[j][0] == 0:
         raise UnboundedProfileError("no single minimizer: a zero slope, or all slopes of one sign")
-    j = next(i for i, s in enumerate(slopes) if s > 0)
-    m = f.breakpoints[j - 1]
-    return m, f(m)
+    (k1, b1), (k2, b2) = pieces[j - 1], pieces[j]
+    return Fraction(b1 - b2, k2 - k1), Fraction(k2 * b1 - k1 * b2, k2 - k1)
+
+
+def minimize_profile(f: PLFunction) -> tuple:
+    """Exact (argmin, min_value), both Fractions, of a convex piecewise-affine
+    function: _envelope_minimum on its pieces."""
+    return _envelope_minimum(tuple(zip(f.slopes, f.intercepts)))
 
 
 #: the power of p^m in each conjugate coefficient: a0, a1, a2, b0, b1, b2

@@ -29,6 +29,7 @@ from quadberk import (
     PLFunction,
     PrimeCtx,
     TypeIIPoint,
+    UnboundedProfileError,
     normalize,
     reduce_residue,
     resultant,
@@ -131,17 +132,18 @@ def ord_res_direct_oracle(lift: Lift, point, ctx) -> int:
     return _int_ord(_resultant_ints(*scaled), p) - 4 * min(_int_ord(n, p) for n in scaled if n)
 
 
-def ord_res_profile_oracle(lift: Lift, center, ctx) -> PLFunction:
-    """The ordRes profile on Fractions: the i-th coefficient of the conjugate
-    by z -> center + p^m z is c_i * p^(k_i*m), with each c_i composed in
-    Fraction arithmetic, and the profile is the upper envelope of the lines
-    m -> vp(Res) + 6m - 4*(vp(c_i) + k_i*m), vp(Res) of the Fraction resultant."""
+def profile_lines_oracle(lift: Lift, center, ctx) -> dict:
+    """{slope: largest intercept} of the ordRes profile's lines on Fractions:
+    the i-th coefficient of the conjugate by z -> center + p^m z is
+    c_i * p^(k_i*m), with each c_i composed in Fraction arithmetic, and its
+    line is m -> vp(Res) + 6m - 4*(vp(c_i) + k_i*m), vp(Res) of the
+    Fraction resultant."""
     a = Fraction(center)
     a0, a1, a2 = lift.f_coeffs
     b0, b1, b2 = lift.g_coeffs
     f_at, g_at = a0 * a * a + a1 * a + a2, b0 * a * a + b1 * a + b2
     fprime, gprime = 2 * a0 * a + a1, 2 * b0 * a + b1
-    lines = [
+    coeffs = [
         (2, a0 - a * b0),
         (1, fprime - a * gprime),
         (0, f_at - a * g_at),
@@ -150,9 +152,80 @@ def ord_res_profile_oracle(lift: Lift, center, ctx) -> PLFunction:
         (1, g_at),
     ]
     base = vp(resultant(lift), ctx)
-    return PLFunction.upper_envelope(
-        (6 - 4 * k, base - 4 * vp(c, ctx)) for k, c in lines if c != 0
-    )
+    lines = {}
+    for k, c in coeffs:
+        if c != 0:
+            s, b = 6 - 4 * k, base - 4 * vp(c, ctx)
+            lines[s] = max(b, lines.get(s, b))
+    return lines
+
+
+def ord_res_profile_oracle(lift: Lift, center, ctx) -> PLFunction:
+    """The ordRes profile on Fractions: upper_envelope_oracle of
+    profile_lines_oracle."""
+    return upper_envelope_oracle(profile_lines_oracle(lift, center, ctx).items())
+
+
+def upper_envelope_oracle(lines) -> PLFunction:
+    """Pointwise maximum of lines (slope, intercept) by adding them in slope
+    order, each new line's crossing with the last kept one found by
+    Fraction division: a kept line whose crossing is not right of the
+    previous breakpoint is dropped."""
+    best = {}
+    for k, b in lines:
+        k, b = Fraction(k), Fraction(b)
+        if k not in best or b > best[k]:
+            best[k] = b
+    items = sorted(best.items())
+    env, bps = [items[0]], []
+    for k, b in items[1:]:
+        while True:
+            k0, b0 = env[-1]
+            x = Fraction(b0 - b, k - k0)
+            if bps and x <= bps[-1]:
+                env.pop()
+                bps.pop()
+                continue
+            env.append((k, b))
+            bps.append(x)
+            break
+    slopes, intercepts = zip(*env)
+    return PLFunction(tuple(slopes), tuple(intercepts), tuple(bps))
+
+
+def profile_minimum_oracle(lines: dict) -> tuple:
+    """(argmin, min value), both Fractions, of the maximum of the lines
+    m -> s*m + c given as {s: c}, by pairwise crossings: the minimum is the
+    largest value at which a line of negative slope crosses one of positive
+    slope, compared by cross-multiplication, and zero slopes are not read.
+    No line of one sign raises UnboundedProfileError."""
+    falling = [(s, c) for s, c in lines.items() if s < 0]
+    rising = [(s, c) for s, c in lines.items() if s > 0]
+    if not falling or not rising:
+        raise UnboundedProfileError("no single minimizer: all slopes of one sign")
+    best = None
+    for sa, ca in falling:
+        for sb, cb in rising:
+            # crossing at m = (ca - cb)/d with value n/d, d > 0
+            d, n = sb - sa, sb * ca - sa * cb
+            if best is None or n * best[2] > best[1] * d:
+                best = (ca - cb, n, d)
+    return Fraction(best[0], best[2]), Fraction(best[1], best[2])
+
+
+def newton_slopes_oracle(coeffs, ctx) -> tuple:
+    """The Newton polygon's slopes of c_n*T^n + ... + c_0 (leading-first,
+    c_n and c_0 nonzero) with multiplicity, by gift wrapping: from the point
+    (0, vp(c_0)), the next vertex is the point of least slope to it,
+    the farthest one on a tie."""
+    deg = len(coeffs) - 1
+    points = {deg - i: vp(c, ctx) for i, c in enumerate(coeffs) if c != 0}
+    x, slopes = 0, []
+    while x < deg:
+        slope, nxt = min((Fraction(y - points[x], u - x), -u) for u, y in points.items() if u > x)
+        slopes += [slope] * (-nxt - x)
+        x = -nxt
+    return tuple(slopes)
 
 
 def specialize_oracle(sigma, ctx) -> tuple:

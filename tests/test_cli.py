@@ -116,7 +116,7 @@ def test_cli_answers_radius_exponents_of_any_size(capsys, command, p, rexp):
         assert payload == expected
 
 
-def test_cli_answers_radius_exponents_under_the_power_cap(capsys):
+def test_cli_answers_a_radius_exponent_past_the_last_crossing(capsys):
     # m = 100,000 is past the profile's last crossing, on its line 6m + 4
     assert run(["ordres", "-p", "5", "--map", "z^2+1/5", "--rexp", "100000", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["ord_res"] == "600004"
@@ -333,6 +333,18 @@ def test_cli_verify_with_centers(capsys):
     )
     assert code == 0
     assert payload["stratum"] == "W1" and payload["xi"] == {"center": "0", "rexp": "0"}
+
+
+def test_cli_verify_names_centers_that_miss_xi(capsys):
+    # the segment at center 0 misses xi = (-5/2, 0): an input error, not exit 2
+    argv = ["verify", "-p", "2", "--map", "(z^2 - 355/18*z - 491/9)/(z + 5/2)"]
+    assert run([*argv, "--center", "0", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "no segment center reaches xi: the best, 0, has minimum ordRes 2, above -mu = 0" in captured.err
+    code, payload = _run_json(capsys, [*argv, "--center", "-5/2", "--json"])
+    assert code == 0 and payload["xi"] == {"center": "-5/2", "rexp": "0"}
+    assert (payload["stratum"], payload["min_ord_res"]) == ("W1", "0")
 
 
 def test_cli_sweep_form_b(capsys):

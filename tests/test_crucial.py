@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from quadberk import (
+    CentersMissXiError,
     ConsistencyFailure,
     DegenerateMultipliersError,
     Mobius,
@@ -29,7 +30,8 @@ from quadberk import (
     vp,
 )
 from _support import (
-    CASES, case_instance as _case_instance, normal_form_corpus, ord_res_profile_oracle, rand_lift, rand_unit,
+    CASES, case_instance as _case_instance, conjugation_cases, normal_form_corpus, ord_res_profile_oracle,
+    profile_lines_oracle, profile_minimum_oracle, rand_lift, rand_mobius, rand_unit,
 )
 
 P3, P5 = PrimeCtx(3), PrimeCtx(5)
@@ -252,13 +254,13 @@ def test_verify_checks_min_ord_res_against_sigma(monkeypatch):
     # _complete_report and fails the sigma-only route of verify_consistency
     from quadberk import crucial
 
-    minimum = crucial._profile_minimum
+    minimum = crucial._envelope_minimum
 
     def one_more(lines):
         argmin, value = minimum(lines)
         return argmin, value + 1
 
-    monkeypatch.setattr(crucial, "_profile_minimum", one_more)
+    monkeypatch.setattr(crucial, "_envelope_minimum", one_more)
     cases = [
         (multiple_fixed_lift(Fraction(1, 5)), P5),
         (distinct_fixed_lift(6, 6), P5),
@@ -326,13 +328,87 @@ def test_find_crucial_matches_profile_oracle(case):
 
 
 def test_profile_minimum_checks_both_signs():
-    from quadberk.crucial import _profile_minimum
+    from quadberk.quadmap import _envelope, _envelope_minimum
 
     for lines in ({}, {-6: 0, -2: 5}, {2: 1, 6: -3}):
         with pytest.raises(UnboundedProfileError):
-            _profile_minimum(lines)
+            _envelope_minimum(_envelope(lines.items()))
     # the largest crossing wins: -2m + 1 meets 6m - 5 at m = 3/4, value -1/2
-    assert _profile_minimum({-6: 0, -2: 1, 2: -4, 6: -5}) == (Fraction(3, 4), Fraction(-1, 2))
+    found = _envelope_minimum(_envelope({-6: 0, -2: 1, 2: -4, 6: -5}.items()))
+    assert found == (Fraction(3, 4), Fraction(-1, 2))
+    assert all(type(x) is Fraction for x in found)
+
+
+@given(conjugation_cases())
+@settings(max_examples=300, deadline=None)
+def test_find_crucial_matches_pairwise_crossing_oracle(case):
+    lift, point, ctx = case
+    found = find_crucial_on_segment(lift, point.center, ctx)
+    assert found == profile_minimum_oracle(profile_lines_oracle(lift, point.center, ctx))
+    assert all(type(x) is Fraction for x in found)
+
+
+# at p = 2 this map has xi = (-5/2, 0) with ordRes 0 = -mu, and the
+# segment at center 0 reaches only ordRes 2
+_MISSED = "(z^2 - 355/18*z - 491/9)/(z + 5/2)"
+
+
+def test_verify_names_centers_that_miss_xi():
+    lift, p2 = parse_map(_MISSED), PrimeCtx(2)
+    with pytest.raises(CentersMissXiError, match=r"the best, 0, has minimum ordRes 2, above -mu = 0"):
+        verify_consistency(lift, p2, centers=[0])
+    for centers in ([Fraction(-5, 2)], [0, Fraction(-5, 2)]):
+        report = verify_consistency(lift, p2, centers=centers)
+        assert report.xi == TypeIIPoint(Fraction(-5, 2), 0) and report.min_ord_res == 0
+        assert report.residue_class.kind is ResidueKind.REPELLING
+
+
+def test_verify_centers_checks_min_ord_res_against_sigma(monkeypatch):
+    # a centers minimum below -mu is a bug, not an input error: ordRes >= -mu
+    # everywhere on the Berkovich line
+    from quadberk import crucial
+
+    minus_mu = crucial._pole_order
+    monkeypatch.setattr(crucial, "_pole_order", lambda sigma, p: minus_mu(sigma, p) + 1)
+    with pytest.raises(ConsistencyFailure) as exc_info:
+        verify_consistency(parse_map(_MISSED), PrimeCtx(2), centers=[0, Fraction(-5, 2)])
+    details = exc_info.value.details
+    assert not isinstance(exc_info.value, CentersMissXiError)
+    assert (details["min_ord_res"], details["minus_mu"], details["argmin"]) == (0, 1, 0)
+    assert details["centers"] == [0, Fraction(-5, 2)]
+
+
+@st.composite
+def _conjugated_normal_forms(draw):
+    """A map of one of the seven families conjugated by a random Mobius
+    gamma, one random center and p."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 13)))
+    ctx = PrimeCtx(p)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(CASES))
+    # Bi needs a unit residue outside {0, 1}: empty over F_2
+    assume(not (kind == "Bi" and p == 2))
+    lift = _case_instance(kind, rng, p, ctx)
+    shift = draw(st.fractions(-9, 9, max_denominator=6))
+    center = draw(st.sampled_from((0, -1, p, Fraction(1, p)))) + shift
+    return lift, conjugate(lift, rand_mobius(rng)), center, ctx
+
+
+@given(_conjugated_normal_forms())
+@settings(max_examples=200, deadline=None)
+def test_verify_with_one_center_answers_or_names_the_miss(case):
+    lift, conj, center, ctx = case
+    assume(identify_normal_form(conj) is None)
+    expected = verify_consistency(lift, ctx)
+    try:
+        report = verify_consistency(conj, ctx, centers=[center])
+    except CentersMissXiError:
+        return
+    assert report.min_ord_res == expected.min_ord_res
+    assert report.stratum == expected.stratum
+    assert (report.residue_class is None) == (expected.residue_class is None)
+    if report.residue_class is not None:
+        assert report.residue_class.kind is expected.residue_class.kind
 
 
 def test_identify_normal_form():

@@ -17,7 +17,7 @@ from quadberk import (
     vp,
 )
 from quadberk.padic import _MR_BASES, MR_BOUND, _is_prime
-from _support import exhaustive_inverse, expand_monic, int_vp, trial_division_is_prime
+from _support import exhaustive_inverse, expand_monic, int_vp, newton_slopes_oracle, trial_division_is_prime
 
 P5 = PrimeCtx(5)
 P3 = PrimeCtx(3)
@@ -185,3 +185,22 @@ def test_newton_slopes_match_known_roots(roots):
         # conservation: root valuations sum to vp(c_0) - vp(c_deg)
         assert sum(polygon.root_valuations()) == vp(coeffs[-1], ctx) - vp(coeffs[0], ctx)
         assert all(s1 <= s2 for s1, s2 in zip(polygon.slopes, polygon.slopes[1:]))
+
+
+@st.composite
+def _newton_cases(draw):
+    """A coefficient list, leading-first, with nonzero ends and inner zeros,
+    its terms carrying powers of p, and p."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    term = st.builds(lambda u, e: u * Fraction(p) ** e, nonzero_rationals, st.integers(-6, 6))
+    inner = draw(st.lists(st.one_of(st.just(0), term), max_size=6))
+    return [draw(term), *inner, draw(term)], PrimeCtx(p)
+
+
+@given(_newton_cases())
+@settings(max_examples=300)
+def test_newton_slopes_match_gift_wrapping_oracle(case):
+    coeffs, ctx = case
+    slopes = newton_slopes(coeffs, ctx).slopes
+    assert slopes == newton_slopes_oracle(coeffs, ctx)
+    assert len(slopes) == len(coeffs) - 1 and all(type(s) is Fraction for s in slopes)

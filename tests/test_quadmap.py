@@ -49,11 +49,13 @@ from _support import (
     ord_res_direct_oracle,
     ord_res_profile_oracle,
     perm_det,
+    profile_minimum_oracle,
     rand_lift,
     rand_mobius,
     rand_rat,
     rand_rat_bits,
     sylvester_rows,
+    upper_envelope_oracle,
 )
 
 P5 = PrimeCtx(5)
@@ -534,6 +536,39 @@ def test_envelope_dominates_lines():
         f = PLFunction.upper_envelope(lines)
         for m in [Fraction(n, 3) for n in range(-15, 16)]:
             assert f(m) == max(s * m + b for s, b in lines)
+
+
+_small_rationals = st.fractions(-20, 20, max_denominator=6)
+_slopes = st.one_of(st.sampled_from((-6, -2, 0, 2, 6)), _small_rationals)
+
+
+@st.composite
+def _line_sets(draw):
+    """Rational lines (slope, intercept) in random order: the slopes often
+    repeat and include 0, and half the sets add three lines through one
+    point."""
+    lines = draw(st.lists(st.tuples(_slopes, _small_rationals), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        m0, v0 = draw(_small_rationals), draw(_small_rationals)
+        lines += [(k, v0 - k * m0) for k in draw(st.lists(_slopes, min_size=3, max_size=3, unique=True))]
+    return draw(st.permutations(lines))
+
+
+@given(_line_sets())
+@settings(max_examples=250, deadline=None)
+def test_upper_envelope_and_minimum_match_oracles(lines):
+    f = PLFunction.upper_envelope(lines)
+    assert f == upper_envelope_oracle(lines)
+    assert all(type(x) is Fraction for x in f.slopes + f.intercepts + f.breakpoints)
+    best = {}
+    for k, b in lines:
+        best[k] = max(b, best.get(k, b))
+    if 0 in f.slopes or f.slopes[0] > 0 or f.slopes[-1] < 0:
+        with pytest.raises(UnboundedProfileError):
+            minimize_profile(f)
+    else:
+        # the pairwise oracle skips a zero-slope line; here none is on the envelope
+        assert minimize_profile(f) == profile_minimum_oracle(best)
 
 
 _huge = st.integers(min_value=-(10**300), max_value=10**300)
