@@ -11,7 +11,8 @@ reduction type of the map at its minimal-resultant point:
 
 The W2 payload x equals lam + 1/lam for the residue lam of an indifferent
 multiplier.  Valuations of the (possibly irrational) multipliers themselves
-are read off the Newton polygon of T^3 - sigma1*T^2 + sigma2*T - sigma3.
+are the negated slopes, padic.newton_slopes, of the Newton polygon of
+T^3 - sigma1*T^2 + sigma2*T - sigma3.
 """
 
 from __future__ import annotations
@@ -98,9 +99,7 @@ def multiplier_valuations(sigma: SigmaInvariants, ctx: PrimeCtx) -> tuple:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
         zeros += 1
-    vals = []
-    if len(coeffs) > 1:
-        vals = list(newton_slopes(coeffs, ctx).root_valuations())
+    vals = [-s for s in newton_slopes(coeffs, ctx)] if len(coeffs) > 1 else []
     return tuple(sorted(vals + [INF] * zeros))
 
 

@@ -21,17 +21,12 @@ from itertools import product
 from math import prod
 
 from .classifier import W2, multiplier_valuations, stratum
-from .crucial import (
-    distinct_fixed_lift,
-    find_crucial_on_segment,
-    multiple_fixed_lift,
-    verify_consistency,
-)
+from .crucial import distinct_fixed_lift, multiple_fixed_lift, verify_consistency
 from .errors import ConsistencyFailure, QuadberkError
 from .invariants import sigma_invariants
 from .padic import INF, PrimeCtx
 from .parsing import parse_map
-from .quadmap import TypeIIPoint, ord_res_at, ord_res_profile
+from .quadmap import TypeIIPoint, find_crucial_on_segment, ord_res_at, ord_res_profile
 from .reduction import classify_residue, reduce_at
 from .value import Value
 
@@ -160,14 +155,13 @@ def cmd_ordres(args, ctx: PrimeCtx) -> dict:
 
 def cmd_profile(args, ctx: PrimeCtx) -> dict:
     lift, center = parse_map(args.map), parse_rat(args.center)
-    profile = ord_res_profile(lift, center, ctx)
+    pieces = ord_res_profile(lift, center, ctx)
     return {
         "center": fmt_rat(center),
-        "breakpoints": [fmt_rat(b) for b in profile.breakpoints],
-        "pieces": [
-            {"slope": fmt_rat(s), "intercept": fmt_rat(b)}
-            for s, b in zip(profile.slopes, profile.intercepts)
-        ],
+        # adjacent pieces meet where their lines cross
+        "breakpoints": [fmt_rat(Fraction(b1 - b2, k2 - k1))
+                        for (k1, b1), (k2, b2) in zip(pieces, pieces[1:])],
+        "pieces": [{"slope": fmt_rat(k), "intercept": fmt_rat(b)} for k, b in pieces],
     }
 
 
@@ -319,13 +313,13 @@ _VALUE_OPTIONS = {
 
 def _attach_negative_values(argv: list) -> list:
     """Write "--l1 -2:2:1/2" as "--l1=-2:2:1/2" and "--map -z^2+1" as
-    "--map=-z^2+1": argparse reads a value such as -1/2, -2:2 or -(z+1)
-    that follows an option as an option of its own.  No option of the
-    parser starts with "-" and a digit, "z" or "("."""
+    "--map=-z^2+1": argparse reads a value such as -1/2, -.5, -2:2 or
+    -(z+1) that follows an option as an option of its own.  No option of
+    the parser starts with "-" and a digit, ".", "z" or "("."""
     out = []
     for token in argv:
         head = token[1:2]
-        if out and out[-1] in _VALUE_OPTIONS and token[:1] == "-" and (head.isdigit() or head in ("z", "(")):
+        if out and out[-1] in _VALUE_OPTIONS and token[:1] == "-" and (head.isdigit() or head in (".", "z", "(")):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)

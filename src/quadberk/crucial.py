@@ -7,11 +7,12 @@ the minimal-resultant locus xi.  Two normal forms cover all quadratic maps:
   * (z^2 + l1*z)/(l2*z + 1) (three distinct fixed points 0, infinity, alpha3)
 
 and for each this module predicts xi, its stratum and its residue class in
-closed form from the multiplier data.  An exact segment search provides
-the independent route: the profile's minimum is read off the lower hull of
-its integer lines, where the slope changes sign;
-``_complete_report`` checks every report against it and the residue class,
-and ``verify_consistency`` adds the sigma specialization and -mu.
+closed form from the multiplier data.  The segment search,
+quadmap.find_crucial_on_segment, provides the independent route: the
+profile's minimum, read off the lower hull of its integer lines where the
+slope changes sign.  ``_complete_report`` checks every report against it
+and the residue class, and ``verify_consistency`` adds the sigma
+specialization and -mu.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .classifier import W1, W2, W3, W4, ReductionType, _pole_order, stratum
 from .errors import CentersMissXiError, ConsistencyFailure, NotNormalFormError
 from .invariants import lambda3_from, sigma_invariants
 from .padic import PrimeCtx, Rat, reduce_residue, vp
-from .quadmap import Lift, TypeIIPoint, _envelope, _envelope_minimum, _profile_lines
+from .quadmap import Lift, TypeIIPoint, find_crucial_on_segment
 from .reduction import ResidueKind, classify_residue, reduce_at
 from .value import Value, rat
 
@@ -152,13 +153,6 @@ def predict_xi_distinct_fixed(lambda1: Rat, lambda2: Rat, ctx: PrimeCtx) -> Cruc
         xi = TypeIIPoint(-1, Fraction(unit_gap, 2))
         return _complete_report(lift, xi, ReductionType(W1), ctx)
     return _complete_report(distinct_fixed_lift(l1, l3), TypeIIPoint(0, 0), ReductionType(W1), ctx)
-
-
-def find_crucial_on_segment(lift: Lift, center: Rat, ctx: PrimeCtx) -> tuple:
-    """Exact (argmin, min value) of the ordRes profile along the segment of
-    points centered at ``center``: _envelope_minimum on the envelope of the
-    integer lines of _profile_lines, which ord_res_profile shares."""
-    return _envelope_minimum(_envelope(_profile_lines(lift, center, ctx.p).items()))
 
 
 def identify_normal_form(lift: Lift):

@@ -131,20 +131,9 @@ def _lower_hull(points) -> list:
     return hull
 
 
-class NewtonPolygon(Value):
-    """Lower-hull slopes of a polynomial, listed nondecreasing with
-    multiplicity (one entry per root)."""
-
-    __slots__ = ("slopes",)
-
-    def root_valuations(self) -> tuple:
-        """Valuations of the roots in an algebraic closure: the negated
-        slopes, sorted ascending."""
-        return tuple(sorted(-s for s in self.slopes))
-
-
-def newton_slopes(coeffs: list, ctx: PrimeCtx) -> NewtonPolygon:
-    """Newton polygon of a polynomial given by coefficients leading-first.
+def newton_slopes(coeffs: list, ctx: PrimeCtx) -> tuple:
+    """The Newton polygon's slopes of a polynomial given by coefficients
+    leading-first, nondecreasing, with multiplicity (one per root).
 
     ``coeffs = [c_n, ..., c_1, c_0]`` describes c_n*T^n + ... + c_0.  Both
     c_n and c_0 must be nonzero: strip zero roots before calling.  The
@@ -164,4 +153,4 @@ def newton_slopes(coeffs: list, ctx: PrimeCtx) -> NewtonPolygon:
     slopes = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         slopes.extend([Fraction(y2 - y1, x2 - x1)] * (x2 - x1))
-    return NewtonPolygon(tuple(slopes))
+    return tuple(slopes)

@@ -10,10 +10,10 @@ and one closed-form integer kernel is evaluated on them.  Every read along
 a segment takes one integer table, _segment: the conjugate's six numerators
 at m = 0, their p-orders and vp(Res), checked against the resultant of the
 numerators themselves.  _profile_lines reads the profile's lines off it
-(crucial.find_crucial_on_segment minimizes them on integers,
-ord_res_profile builds their PLFunction envelope, ord_res_at evaluates
-them at m), and reduction.reduce_at reads the residue map off it; no read
-builds a power of p, so every m costs the same.
+(ord_res_profile gives their envelope as integer pieces, _envelope's lower
+hull; find_crucial_on_segment minimizes them through the same hull;
+ord_res_at evaluates them at m), and reduction.reduce_at reads the residue
+map off it; no read builds a power of p, so every m costs the same.
 
 Type II points of the projective Berkovich line are written in the affine
 chart as a center a in Q together with a radius exponent m, standing for the
@@ -27,7 +27,6 @@ rational m, half-integers included.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 
@@ -211,78 +210,30 @@ def conjugate(lift: Lift, g: Mobius) -> Lift:
     return Lift(*(Fraction(n, scale) for n in _conjugate_ints(lift._ints, A, B, C, D)))
 
 
-class PLFunction(Value):
-    """Convex piecewise-affine function of one rational variable.
-
-    Piece i is m -> slopes[i]*m + intercepts[i], valid between
-    breakpoints[i-1] and breakpoints[i]; slopes are strictly increasing and
-    adjacent pieces agree at their shared breakpoint.
-    """
-
-    __slots__ = ("slopes", "intercepts", "breakpoints")
-
-    def __init__(self, slopes: tuple, intercepts: tuple, breakpoints: tuple):
-        super().__init__(slopes, intercepts, breakpoints)
-        if len(self.slopes) != len(self.intercepts):
-            raise ValueError("slopes/intercepts length mismatch")
-        if len(self.breakpoints) != len(self.slopes) - 1:
-            raise ValueError("breakpoint count must be piece count - 1")
-        if any(s1 >= s2 for s1, s2 in zip(self.slopes, self.slopes[1:])):
-            raise ValueError("slopes must be strictly increasing (convexity)")
-        if any(b1 >= b2 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        for i, b in enumerate(self.breakpoints):
-            left = self.slopes[i] * b + self.intercepts[i]
-            right = self.slopes[i + 1] * b + self.intercepts[i + 1]
-            if left != right:
-                raise ValueError("pieces do not meet at a breakpoint")
-
-    @classmethod
-    def upper_envelope(cls, lines) -> "PLFunction":
-        """Pointwise maximum of affine functions given as (slope, intercept):
-        the largest intercept per slope, then the pieces of _envelope."""
-        best = {}
-        for k, b in lines:
-            # an int is read as it is, so integer lines stay integers to the end
-            k, b = k if type(k) is int else rat(k), b if type(b) is int else rat(b)
-            if k not in best or b > best[k]:
-                best[k] = b
-        if not best:
-            raise ValueError("empty set of affine functions")
-        pieces = _envelope(best.items())
-        return cls(tuple(rat(k) for k, _ in pieces), tuple(rat(b) for _, b in pieces),
-                   tuple(Fraction(b1 - b2, k2 - k1) for (k1, b1), (k2, b2) in zip(pieces, pieces[1:])))
-
-    def __call__(self, m: Rat) -> Fraction:
-        m = rat(m)
-        i = bisect_right(self.breakpoints, m)
-        return self.slopes[i] * m + self.intercepts[i]
-
-
 def _envelope(lines) -> list:
-    """The lines (k, b), one per slope k, that are pieces of the upper
-    envelope of m -> k*m + b, in slope order: the lower hull of the points
-    (k, -b).  Pieces (k1, b1) and (k2, b2) meet at m = (b1 - b2)/(k2 - k1)."""
-    return [(k, -y) for k, y in _lower_hull((k, -b) for k, b in lines)]
+    """The pieces (k, b), one per slope k, of the upper envelope of the
+    lines m -> k*m + b, in slope order: the largest intercept per slope,
+    then the lower hull of the points (k, -b).  Pieces (k1, b1) and
+    (k2, b2) meet at m = (b1 - b2)/(k2 - k1)."""
+    best = {}
+    for k, b in lines:
+        if k not in best or b > best[k]:
+            best[k] = b
+    return [(k, -y) for k, y in _lower_hull((k, -b) for k, b in best.items())]
 
 
-def _envelope_minimum(pieces) -> tuple:
-    """(argmin, min value), both Fractions, of a convex piecewise-affine
-    function given by its pieces (k, b) in slope order, ints or Fractions:
-    where the last piece of negative slope meets the first of positive
+def minimize_profile(lines) -> tuple:
+    """Exact (argmin, min value), both Fractions, of the maximum of the
+    lines (k, b), m -> k*m + b, in any order, ints or Fractions: where the
+    envelope's last piece of negative slope meets its first of positive
     slope.  A zero-slope piece, or slopes all of one sign, leave no single
     minimizer (an ordRes profile's slopes are never 0): UnboundedProfileError."""
+    pieces = _envelope(lines)
     j = next((i for i, (k, _) in enumerate(pieces) if k >= 0), 0)
     if j == 0 or pieces[j][0] == 0:
         raise UnboundedProfileError("no single minimizer: a zero slope, or all slopes of one sign")
     (k1, b1), (k2, b2) = pieces[j - 1], pieces[j]
     return Fraction(b1 - b2, k2 - k1), Fraction(k2 * b1 - k1 * b2, k2 - k1)
-
-
-def minimize_profile(f: PLFunction) -> tuple:
-    """Exact (argmin, min_value), both Fractions, of a convex piecewise-affine
-    function: _envelope_minimum on its pieces."""
-    return _envelope_minimum(tuple(zip(f.slopes, f.intercepts)))
 
 
 #: the power of p^m in each conjugate coefficient: a0, a1, a2, b0, b1, b2
@@ -331,29 +282,23 @@ def ord_res_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> int:
     power of p is built, so any m costs the same.
     """
     m = _radius(point)
-    return max(s * m + c for s, c in _profile_lines(lift, point.center, ctx.p).items())
+    return max(s * m + c for s, c in _profile_lines(lift, point.center, ctx.p))
 
 
-def _profile_lines(lift: Lift, center: Rat, p: int) -> dict:
-    """{slope: intercept} of the ordRes profile's lines at ``center``, on integers.
+def _profile_lines(lift: Lift, center: Rat, p: int) -> list:
+    """The ordRes profile's lines (slope, intercept) at ``center``, on integers.
 
     A nonzero nums[i] of _segment gives the line
     m -> vp(Res) + 6m - 4*(vp(c_i) + k_i*m), c_i = nums[i]/(L*den^3):
-    slope 6 - 4*k_i, intercept base - 4*vp(nums[i]).  Per slope only the
-    largest intercept is kept.
+    slope 6 - 4*k_i, intercept base - 4*vp(nums[i]).  A slope may repeat.
     """
     _, ords, base = _segment(lift, center, p)
-    lines = {}
-    for k, o in zip(_K, ords):
-        if o != INF:
-            s, c = 6 - 4 * k, base - 4 * o
-            if s not in lines or c > lines[s]:
-                lines[s] = c
-    return lines
+    return [(6 - 4 * k, base - 4 * o) for k, o in zip(_K, ords) if o != INF]
 
 
-def ord_res_profile(lift: Lift, center: Rat, ctx: PrimeCtx) -> PLFunction:
-    """Exact profile m -> ordRes at zeta_{D(center, p^(-m))}, all rational m.
+def ord_res_profile(lift: Lift, center: Rat, ctx: PrimeCtx) -> tuple:
+    """Exact profile m -> ordRes at zeta_{D(center, p^(-m))}, all rational m,
+    as its pieces (slope, intercept), ints in slope order.
 
     Through the transformation formula the profile is
     vp(Res) + 6m - 4*min_i(vp(c_i) + k_i*m), the upper envelope of the lines
@@ -362,4 +307,11 @@ def ord_res_profile(lift: Lift, center: Rat, ctx: PrimeCtx) -> PLFunction:
     signs occur (with no line of one sign F and G would share the factor
     X or Y), so minimize_profile returns a single point.
     """
-    return PLFunction.upper_envelope(_profile_lines(lift, center, ctx.p).items())
+    return tuple(_envelope(_profile_lines(lift, center, ctx.p)))
+
+
+def find_crucial_on_segment(lift: Lift, center: Rat, ctx: PrimeCtx) -> tuple:
+    """Exact (argmin, min value) of the ordRes profile along the segment of
+    points centered at ``center``: minimize_profile on the integer lines
+    of _profile_lines, one hull."""
+    return minimize_profile(_profile_lines(lift, center, ctx.p))

@@ -12,6 +12,7 @@ acceptance suite checks its corpus against ACCEPTANCE_CORPUS_SHA256.
 
 from __future__ import annotations
 
+import random
 import sys
 from fractions import Fraction
 from itertools import permutations
@@ -26,10 +27,10 @@ from quadberk import (
     Lift,
     MapSyntaxError,
     Mobius,
-    PLFunction,
     PrimeCtx,
     TypeIIPoint,
     UnboundedProfileError,
+    conjugate,
     normalize,
     reduce_residue,
     resultant,
@@ -160,17 +161,18 @@ def profile_lines_oracle(lift: Lift, center, ctx) -> dict:
     return lines
 
 
-def ord_res_profile_oracle(lift: Lift, center, ctx) -> PLFunction:
-    """The ordRes profile on Fractions: upper_envelope_oracle of
-    profile_lines_oracle."""
+def ord_res_profile_oracle(lift: Lift, center, ctx) -> tuple:
+    """The ordRes profile on Fractions, (pieces, breakpoints):
+    upper_envelope_oracle of profile_lines_oracle."""
     return upper_envelope_oracle(profile_lines_oracle(lift, center, ctx).items())
 
 
-def upper_envelope_oracle(lines) -> PLFunction:
-    """Pointwise maximum of lines (slope, intercept) by adding them in slope
-    order, each new line's crossing with the last kept one found by
-    Fraction division: a kept line whose crossing is not right of the
-    previous breakpoint is dropped."""
+def upper_envelope_oracle(lines) -> tuple:
+    """(pieces, breakpoints) of the pointwise maximum of lines
+    (slope, intercept), all Fractions: the lines are added in slope order,
+    each new line's crossing with the last kept one found by Fraction
+    division, and a kept line whose crossing is not right of the previous
+    breakpoint is dropped.  Piece i holds between breakpoints i-1 and i."""
     best = {}
     for k, b in lines:
         k, b = Fraction(k), Fraction(b)
@@ -189,8 +191,7 @@ def upper_envelope_oracle(lines) -> PLFunction:
             env.append((k, b))
             bps.append(x)
             break
-    slopes, intercepts = zip(*env)
-    return PLFunction(tuple(slopes), tuple(intercepts), tuple(bps))
+    return tuple(env), tuple(bps)
 
 
 def profile_minimum_oracle(lines: dict) -> tuple:
@@ -615,3 +616,30 @@ def case_instance(kind: str, rng, p: int, ctx) -> Lift:
     if kind == "Bi" and p == 2:
         raise ValueError("Bi needs a unit residue outside {0, 1}: empty over F_2")
     return family_instance(kind, rng, p, ctx)
+
+
+@st.composite
+def conjugated_normal_forms(draw, affine: bool):
+    """(phi, conj, centers, ctx): a map phi of one of the seven families,
+    its conjugate conj = gamma^(-1) . phi . gamma, the images under
+    gamma^(-1) of 0 and -1, where the families put xi (one sent to
+    infinity is left out), and p.  With ``affine`` gamma is
+    z -> A*z + B, which carries the segments from gamma^(-1)(0) and
+    gamma^(-1)(-1) onto those from 0 and -1, so xi is on one of them;
+    otherwise gamma is rand_mobius's, and the centers may miss xi."""
+    p = draw(st.sampled_from(PRIMES))
+    ctx = PrimeCtx(p)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(CASES))
+    # Bi needs a unit residue outside {0, 1}: empty over F_2
+    assume(not (kind == "Bi" and p == 2))
+    phi = case_instance(kind, rng, p, ctx)
+    if affine:
+        unit = draw(st.fractions(-9, 9, max_denominator=6).filter(bool))
+        g = Mobius.affine(unit * Fraction(p) ** draw(st.integers(-3, 3)),
+                          draw(st.fractions(-9, 9, max_denominator=6)))
+    else:
+        g = rand_mobius(rng)
+    # gamma^(-1)(w) = (D*w - B)/(A - C*w)
+    centers = [(g.D * w - g.B) / (g.A - g.C * w) for w in (0, -1) if g.A != g.C * w]
+    return phi, conjugate(phi, g), centers, ctx

@@ -25,7 +25,7 @@ from quadberk import (
 )
 import quadberk
 from quadberk.cli import COMMANDS, fmt_rat, run
-from _support import parse_map_oracle, rand_lift
+from _support import conjugation_cases, ord_res_profile_oracle, parse_map_oracle, rand_lift
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
@@ -108,7 +108,8 @@ def test_cli_answers_radius_exponents_of_any_size(capsys, command, p, rexp):
     with _int_str_digits(0):  # m has 10,001 digits
         assert code == 0 and payload.pop("point") == {"center": "0", "rexp": fmt_rat(m)}
         if command == "ordres":
-            assert payload == {"schema": 1, "ord_res": fmt_rat(ord_res_profile(lift, 0, ctx)(m))}
+            line = max(k * m + b for k, b in ord_res_profile(lift, 0, ctx))
+            assert payload == {"schema": 1, "ord_res": fmt_rat(line)}
     if command == "reduce-at":
         near = "64" if m > 0 else "-64"
         code, expected = _run_json(capsys, [command, "-p", p, "--map", "z^2+1/5", f"--rexp={near}", "--json"])
@@ -305,6 +306,21 @@ def test_cli_ordres_and_profile(capsys):
         {"slope": "-2", "intercept": "0"},
         {"slope": "2", "intercept": "0"},
     ]
+
+
+@given(conjugation_cases())
+@settings(max_examples=100, deadline=None)
+def test_cli_profile_matches_envelope_oracle(case):
+    # the printed pieces and breakpoints are the Fraction envelope's
+    lift, point, ctx = case
+    argv = ["profile", "-p", str(ctx.p), f"--map={lift_to_expr(lift)}",
+            f"--center={fmt_rat(point.center)}", "--json"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run(argv) == 0
+    payload = json.loads(out.getvalue())
+    pieces, breakpoints = ord_res_profile_oracle(lift, point.center, ctx)
+    assert payload["pieces"] == [{"slope": fmt_rat(k), "intercept": fmt_rat(b)} for k, b in pieces]
+    assert payload["breakpoints"] == [fmt_rat(x) for x in breakpoints]
 
 
 def test_cli_reduce_at(capsys):
@@ -656,6 +672,9 @@ M5 = ["--map", "z + 1/5 + 1/z"]
     (["reduce-at", "-p", "5", *M5], "--center", "-1/2", ["--rexp", "-1"]),
     (["find-crucial", "-p", "5", *M5], "--center", "-1/2", []),
     (["verify", "-p", "7", "--map", "z^2 + 1"], "--center", "-1/2", ["--center", "0"]),
+    (["sweep", "-p", "5", "--form", "A"], "--l1", "-.5:1", []),
+    (["sweep", "-p", "5", "--form", "B", "--l1", "2"], "--l2", "-.5:0", []),
+    (["ordres", "-p", "5", "--map", "z^2"], "--center", "-.5e1", []),
 ])
 def test_cli_negative_option_values(capsys, head, option, value, tail):
     # "--opt -1/2" parses exactly as "--opt=-1/2"

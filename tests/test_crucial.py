@@ -26,12 +26,13 @@ from quadberk import (
     parse_map,
     predict_xi_distinct_fixed,
     predict_xi_multiple_fixed,
+    sigma_invariants,
     verify_consistency,
     vp,
 )
 from _support import (
-    CASES, case_instance as _case_instance, conjugation_cases, normal_form_corpus, ord_res_profile_oracle,
-    profile_lines_oracle, profile_minimum_oracle, rand_lift, rand_mobius, rand_unit,
+    CASES, case_instance as _case_instance, conjugated_normal_forms, conjugation_cases, normal_form_corpus,
+    ord_res_profile_oracle, profile_lines_oracle, profile_minimum_oracle, rand_lift, rand_unit,
 )
 
 P3, P5 = PrimeCtx(3), PrimeCtx(5)
@@ -252,15 +253,15 @@ def test_prediction_and_profile_search_checks(monkeypatch):
 def test_verify_checks_min_ord_res_against_sigma(monkeypatch):
     # a profile minimum one above sigma's -mu, at the right argmin, passes
     # _complete_report and fails the sigma-only route of verify_consistency
-    from quadberk import crucial
+    from quadberk import quadmap
 
-    minimum = crucial._envelope_minimum
+    minimum = quadmap.minimize_profile
 
     def one_more(lines):
         argmin, value = minimum(lines)
         return argmin, value + 1
 
-    monkeypatch.setattr(crucial, "_envelope_minimum", one_more)
+    monkeypatch.setattr(quadmap, "minimize_profile", one_more)
     cases = [
         (multiple_fixed_lift(Fraction(1, 5)), P5),
         (distinct_fixed_lift(6, 6), P5),
@@ -275,22 +276,21 @@ def test_verify_checks_min_ord_res_against_sigma(monkeypatch):
 
 
 def test_normal_form_verify_builds_one_profile(monkeypatch):
-    # one profile search per verify, on the integer lines: the PLFunction
-    # route is for the profile command and the oracle only
-    from quadberk import PLFunction, crucial, quadmap
+    # one profile search per verify, on the integer lines: ord_res_profile
+    # is for the profile command
+    from quadberk import quadmap
 
-    lines, calls = crucial._profile_lines, []
+    lines, calls = quadmap._profile_lines, []
 
     def counted(*args):
         calls.append(args)
         return lines(*args)
 
     def refuse(*args):
-        raise AssertionError("the verify path built a PLFunction profile")
+        raise AssertionError("the verify path called ord_res_profile")
 
-    monkeypatch.setattr(crucial, "_profile_lines", counted)
+    monkeypatch.setattr(quadmap, "_profile_lines", counted)
     monkeypatch.setattr(quadmap, "ord_res_profile", refuse)
-    monkeypatch.setattr(PLFunction, "upper_envelope", refuse)
     cases = [(multiple_fixed_lift(Fraction(1, 5)), P5), (multiple_fixed_lift(1), P5),
              (distinct_fixed_lift(Fraction(1, 3), 2), P3), (distinct_fixed_lift(3, Fraction(1, 9)), P3),
              (distinct_fixed_lift(6, 6), P5), (distinct_fixed_lift(6, 121), P5)]
@@ -322,19 +322,17 @@ def _segment_cases(draw):
 def test_find_crucial_matches_profile_oracle(case):
     lift, center, ctx = case
     found = find_crucial_on_segment(lift, center, ctx)
-    expected = minimize_profile(ord_res_profile_oracle(lift, center, ctx))
+    expected = minimize_profile(ord_res_profile_oracle(lift, center, ctx)[0])
     assert found == expected == minimize_profile(ord_res_profile(lift, center, ctx))
     assert all(type(x) is Fraction for x in found + expected)
 
 
 def test_profile_minimum_checks_both_signs():
-    from quadberk.quadmap import _envelope, _envelope_minimum
-
     for lines in ({}, {-6: 0, -2: 5}, {2: 1, 6: -3}):
         with pytest.raises(UnboundedProfileError):
-            _envelope_minimum(_envelope(lines.items()))
+            minimize_profile(lines.items())
     # the largest crossing wins: -2m + 1 meets 6m - 5 at m = 3/4, value -1/2
-    found = _envelope_minimum(_envelope({-6: 0, -2: 1, 2: -4, 6: -5}.items()))
+    found = minimize_profile({-6: 0, -2: 1, 2: -4, 6: -5}.items())
     assert found == (Fraction(3, 4), Fraction(-1, 2))
     assert all(type(x) is Fraction for x in found)
 
@@ -378,37 +376,52 @@ def test_verify_centers_checks_min_ord_res_against_sigma(monkeypatch):
     assert details["centers"] == [0, Fraction(-5, 2)]
 
 
-@st.composite
-def _conjugated_normal_forms(draw):
-    """A map of one of the seven families conjugated by a random Mobius
-    gamma, one random center and p."""
-    p = draw(st.sampled_from((2, 3, 5, 7, 13)))
-    ctx = PrimeCtx(p)
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    kind = draw(st.sampled_from(CASES))
-    # Bi needs a unit residue outside {0, 1}: empty over F_2
-    assume(not (kind == "Bi" and p == 2))
-    lift = _case_instance(kind, rng, p, ctx)
-    shift = draw(st.fractions(-9, 9, max_denominator=6))
-    center = draw(st.sampled_from((0, -1, p, Fraction(1, p)))) + shift
-    return lift, conjugate(lift, rand_mobius(rng)), center, ctx
-
-
-@given(_conjugated_normal_forms())
-@settings(max_examples=200, deadline=None)
-def test_verify_with_one_center_answers_or_names_the_miss(case):
-    lift, conj, center, ctx = case
-    assume(identify_normal_form(conj) is None)
-    expected = verify_consistency(lift, ctx)
-    try:
-        report = verify_consistency(conj, ctx, centers=[center])
-    except CentersMissXiError:
-        return
+def _same_answer(report, expected):
+    """min ordRes, the stratum and the residue kind, or its absence, agree."""
     assert report.min_ord_res == expected.min_ord_res
     assert report.stratum == expected.stratum
     assert (report.residue_class is None) == (expected.residue_class is None)
     if report.residue_class is not None:
         assert report.residue_class.kind is expected.residue_class.kind
+
+
+@given(conjugated_normal_forms(affine=False), st.data())
+@settings(max_examples=200, deadline=None)
+def test_verify_with_one_center_answers_or_names_the_miss(case, data):
+    phi, conj, _, ctx = case
+    assume(identify_normal_form(conj) is None)
+    p = ctx.p
+    center = data.draw(st.sampled_from((0, -1, p, Fraction(1, p)))) + data.draw(
+        st.fractions(-9, 9, max_denominator=6))
+    try:
+        report = verify_consistency(conj, ctx, centers=[center])
+    except CentersMissXiError:
+        return
+    _same_answer(report, verify_consistency(phi, ctx))
+
+
+@given(conjugated_normal_forms(affine=True))
+@settings(max_examples=200, deadline=None)
+def test_verify_at_the_affine_images_of_the_normal_form_centers(case):
+    # gamma(z) = A*z + B carries the segments from gamma^(-1)(0) and
+    # gamma^(-1)(-1) onto those from 0 and -1, so the centers reach xi
+    phi, conj, centers, ctx = case
+    assert sigma_invariants(conj) == sigma_invariants(phi)
+    _same_answer(verify_consistency(conj, ctx, centers=centers), verify_consistency(phi, ctx))
+
+
+@given(conjugated_normal_forms(affine=False))
+@settings(max_examples=200, deadline=None)
+def test_verify_at_the_mobius_images_of_the_normal_form_centers(case):
+    # a general gamma moves the segments' other end off infinity, so the
+    # centers may miss xi, and then the miss is named
+    phi, conj, centers, ctx = case
+    assume(identify_normal_form(conj) is None)
+    try:
+        report = verify_consistency(conj, ctx, centers=centers)
+    except CentersMissXiError:
+        return
+    _same_answer(report, verify_consistency(phi, ctx))
 
 
 def test_identify_normal_form():

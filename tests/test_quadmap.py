@@ -14,7 +14,6 @@ from quadberk import (
     Lift,
     Mobius,
     NonIntegralRadiusError,
-    PLFunction,
     PrimeCtx,
     SingularMatrixError,
     TypeIIPoint,
@@ -37,7 +36,7 @@ from quadberk import (
     verify_consistency,
     vp,
 )
-from quadberk.quadmap import _K, _integral, _resultant_ints, _segment
+from quadberk.quadmap import _K, _envelope, _integral, _resultant_ints, _segment
 from _support import (
     FractionSub,
     conjugate_oracle,
@@ -206,8 +205,8 @@ def test_ord_res_at_matches_fraction_oracle(case):
 @settings(max_examples=100, deadline=None)
 def test_ord_res_at_matches_profile(case):
     lift, point, ctx = case
-    profile = ord_res_profile(lift, point.center, ctx)
-    assert ord_res_at(lift, point, ctx) == profile(point.radius_exp)
+    m = point.radius_exp
+    assert ord_res_at(lift, point, ctx) == max(k * m + b for k, b in ord_res_profile(lift, point.center, ctx))
 
 
 @given(conjugation_cases())
@@ -215,8 +214,9 @@ def test_ord_res_at_matches_profile(case):
 def test_ord_res_profile_matches_fraction_oracle(case):
     lift, point, ctx = case
     profile = ord_res_profile(lift, point.center, ctx)
-    # equal as PLFunctions: the same pieces, intercepts and breakpoints
-    assert profile == ord_res_profile_oracle(lift, point.center, ctx)
+    # the oracle's Fraction pieces, as ints
+    assert profile == ord_res_profile_oracle(lift, point.center, ctx)[0]
+    assert all(type(x) is int for piece in profile for x in piece)
 
 
 @st.composite
@@ -238,8 +238,9 @@ def test_profile_minimizer_is_one_point(case):
     # with no line of one sign, F and G would share the factor X or Y
     lift, center, ctx = case
     profile = ord_res_profile(lift, center, ctx)
-    assert set(profile.slopes) <= {-6, -2, 2, 6}
-    assert profile.slopes[0] < 0 < profile.slopes[-1]
+    slopes = [k for k, _ in profile]
+    assert set(slopes) <= {-6, -2, 2, 6}
+    assert slopes[0] < 0 < slopes[-1]
     argmin, _ = minimize_profile(profile)
     assert isinstance(argmin, Fraction)
 
@@ -455,10 +456,9 @@ def test_ord_res_nonnegative_random():
 
 def test_profile_of_squaring_map():
     prof = ord_res_profile(Lift(1, 0, 0, 0, 0, 1), 0, P5)
-    assert prof.slopes == (-2, 2)
-    assert prof.breakpoints == (0,)
+    assert prof == ((-2, 0), (2, 0))
     for m in (-3, Fraction(-1, 2), 0, 2):
-        assert prof(m) == 2 * abs(Fraction(m))
+        assert max(k * m + b for k, b in prof) == 2 * abs(Fraction(m))
 
 
 def test_profile_agrees_with_pointwise_on_grid():
@@ -469,7 +469,7 @@ def test_profile_agrees_with_pointwise_on_grid():
         center = rand_rat(rng, -6, 6, 4)
         prof = ord_res_profile(L, center, ctx)
         for m in range(-10, 11):
-            assert prof(m) == ord_res_at(L, TypeIIPoint(center, m), ctx)
+            assert max(k * m + b for k, b in prof) == ord_res_at(L, TypeIIPoint(center, m), ctx)
 
 
 def test_profile_convex_integral_slopes():
@@ -482,14 +482,12 @@ def test_profile_convex_integral_slopes():
                 break
         L = Lift(*cs)
         prof = ord_res_profile(L, rng.randint(-3, 3), PrimeCtx(3))
-        assert all(s1 < s2 for s1, s2 in zip(prof.slopes, prof.slopes[1:]))
-        assert all(s.denominator == 1 for s in prof.slopes)
-        assert all(prof(m).denominator == 1 for m in range(-5, 6))
+        assert all(k1 < k2 for (k1, _), (k2, _) in zip(prof, prof[1:]))
+        assert all(type(x) is int for piece in prof for x in piece)
 
 
 def test_minimize_absolute_value():
-    f = PLFunction.upper_envelope([(-2, 0), (2, 0)])
-    assert minimize_profile(f) == (0, 0)
+    assert minimize_profile([(-2, 0), (2, 0)]) == (0, 0)
 
 
 def test_minimize_examples():
@@ -502,25 +500,17 @@ def test_minimize_examples():
 
 
 def test_minimize_unbounded():
-    with pytest.raises(UnboundedProfileError):
-        minimize_profile(PLFunction((2,), (0,), ()))
-    with pytest.raises(UnboundedProfileError):
-        minimize_profile(PLFunction.upper_envelope([(2, 0), (6, 1)]))
+    for lines in ([], [(2, 0)], [(2, 0), (6, 1)], [(-2, 0), (-6, 1)]):
+        with pytest.raises(UnboundedProfileError):
+            minimize_profile(lines)
 
 
 def test_minimize_flat_interval():
     # a zero-slope piece has no single minimizer; no ordRes profile has one
-    f = PLFunction.upper_envelope([(-2, 0), (0, 2), (2, 0)])
-    assert f(-1) == f(0) == f(1) == 2
+    lines = [(-2, 0), (0, 2), (2, 0)]
+    assert _envelope(lines) == [(-2, 0), (0, 2), (2, 0)]
     with pytest.raises(UnboundedProfileError):
-        minimize_profile(f)
-
-
-def test_plfunction_rejects_unsorted_breakpoints():
-    # the pieces meet at both breakpoints and the slopes increase, so only
-    # the breakpoint-order check rejects this
-    with pytest.raises(ValueError, match="breakpoints must be strictly increasing"):
-        PLFunction((-2, 0, 2), (2, 0, 2), (1, -1))
+        minimize_profile(lines)
 
 
 def test_envelope_dominates_lines():
@@ -530,12 +520,9 @@ def test_envelope_dominates_lines():
             (Fraction(rng.randint(-6, 6)), rand_rat(rng, -10, 10, 6))
             for _ in range(rng.randint(1, 6))
         ]
-        slopes = {s for s, _ in lines}
-        if len(slopes) != len(lines):
-            continue
-        f = PLFunction.upper_envelope(lines)
+        pieces = _envelope(lines)
         for m in [Fraction(n, 3) for n in range(-15, 16)]:
-            assert f(m) == max(s * m + b for s, b in lines)
+            assert max(k * m + b for k, b in pieces) == max(s * m + b for s, b in lines)
 
 
 _small_rationals = st.fractions(-20, 20, max_denominator=6)
@@ -557,18 +544,19 @@ def _line_sets(draw):
 @given(_line_sets())
 @settings(max_examples=250, deadline=None)
 def test_upper_envelope_and_minimum_match_oracles(lines):
-    f = PLFunction.upper_envelope(lines)
-    assert f == upper_envelope_oracle(lines)
-    assert all(type(x) is Fraction for x in f.slopes + f.intercepts + f.breakpoints)
+    pieces = _envelope(lines)
+    breakpoints = tuple(Fraction(b1 - b2, k2 - k1) for (k1, b1), (k2, b2) in zip(pieces, pieces[1:]))
+    assert (tuple(pieces), breakpoints) == upper_envelope_oracle(lines)
     best = {}
     for k, b in lines:
         best[k] = max(b, best.get(k, b))
-    if 0 in f.slopes or f.slopes[0] > 0 or f.slopes[-1] < 0:
+    slopes = [k for k, _ in pieces]
+    if 0 in slopes or slopes[0] > 0 or slopes[-1] < 0:
         with pytest.raises(UnboundedProfileError):
-            minimize_profile(f)
+            minimize_profile(lines)
     else:
         # the pairwise oracle skips a zero-slope line; here none is on the envelope
-        assert minimize_profile(f) == profile_minimum_oracle(best)
+        assert minimize_profile(lines) == profile_minimum_oracle(best)
 
 
 _huge = st.integers(min_value=-(10**300), max_value=10**300)

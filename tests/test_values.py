@@ -21,7 +21,6 @@ from quadberk import (
     CrucialReport,
     Lift,
     Mobius,
-    PLFunction,
     PrimeCtx,
     ReductionType,
     ResidueClass,
@@ -31,12 +30,10 @@ from quadberk import (
     TypeIIPoint,
     distinct_fixed_lift,
     gauss_point,
-    newton_slopes,
     predict_xi_multiple_fixed,
     reduce_at,
     verify_consistency,
 )
-from quadberk.padic import NewtonPolygon
 from quadberk.value import Value, rat
 from _support import FractionSub
 
@@ -50,14 +47,9 @@ CASES = [
     (lambda: Mobius(2, F(1, 3), 0, 1),
      "Mobius(A=Fraction(2, 1), B=Fraction(1, 3), C=Fraction(0, 1), D=Fraction(1, 1))"),
     (lambda: TypeIIPoint(F(-1, 2), 3), "TypeIIPoint(center=-1/2, radius_exp=3)"),
-    (lambda: PLFunction.upper_envelope([(-2, 0), (2, 1)]),
-     "PLFunction(slopes=(Fraction(-2, 1), Fraction(2, 1)), intercepts=(Fraction(0, 1), "
-     "Fraction(1, 1)), breakpoints=(Fraction(-1, 4),))"),
     (lambda: SigmaInvariants(F(74, 25), F(3, 7), F(24, 25)),
      "SigmaInvariants(sigma1=Fraction(74, 25), sigma2=Fraction(3, 7), sigma3=Fraction(24, 25))"),
     (lambda: PrimeCtx(5), "PrimeCtx(5)"),
-    (lambda: newton_slopes([1, 5, F(1, 25)], P5),
-     "NewtonPolygon(slopes=(Fraction(1, 1), Fraction(1, 1)))"),
     (lambda: ReductionType("W1"), "W1"),
     (lambda: ReductionType("W2", 1, 3), "W2(x_tilde=1 mod 3)"),
     (lambda: ResidueClass(ResidueKind.REPELLING), "Repelling"),
@@ -88,8 +80,8 @@ def _fields(value) -> tuple:
 def test_every_value_class_is_covered():
     classes = {type(make()) for make, _ in CASES}
     assert classes == {
-        Lift, Mobius, TypeIIPoint, PLFunction, SigmaInvariants, PrimeCtx,
-        NewtonPolygon, ReductionType, ResidueClass, ResidueMap, CrucialReport, ConsistencyReport,
+        Lift, Mobius, TypeIIPoint, SigmaInvariants, PrimeCtx,
+        ReductionType, ResidueClass, ResidueMap, CrucialReport, ConsistencyReport,
     }
     # no instance dict: the fields are the slots and nothing else
     assert all(isinstance(make(), Value) and not hasattr(make(), "__dict__") for make, _ in CASES)
