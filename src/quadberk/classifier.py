@@ -1,4 +1,5 @@
-"""Reduction-type strata W1-W4 from the sigma invariants.
+"""The two classifications the stratification matches: the stratum W1-W4
+of the sigma invariants, and the dynamical class of a residue map.
 
 The point [sigma1 : sigma2 : 1] in P^2, specialized to the residue field,
 lands in exactly one of four regions, and the region determines the
@@ -13,16 +14,31 @@ The W2 payload x equals lam + 1/lam for the residue lam of an indifferent
 multiplier.  Valuations of the (possibly irrational) multipliers themselves
 are the negated slopes, padic.newton_slopes, of the Newton polygon of
 T^3 - sigma1*T^2 + sigma2*T - sigma3.
+
+The residue map at a type II point (quadmap.reduce_at) is classified by
+its degree: a moved point (degree 0), an indifferent fixed point
+(degree 1) or a repelling fixed point (degree 2); degree-1 maps split
+further into multiplicative, additive and identity types by their 2x2
+residue matrix.  At xi the class is the stratum's, STRATUM_TO_RESIDUE.
 """
 
 from __future__ import annotations
 
+from enum import Enum
+
 from .errors import QuadberkError
 from .invariants import SigmaInvariants
 from .padic import INF, PrimeCtx, _int_ord, newton_slopes
+from .quadmap import ResidueMap
 from .value import Value
 
 W1, W2, W3, W4 = "W1", "W2", "W3", "W4"
+
+
+def _check_payload(carried: bool, x_tilde, p, carrier: str) -> None:
+    """x_tilde and p are both set exactly when ``carried``."""
+    if carried != (x_tilde is not None) or (x_tilde is None) != (p is None):
+        raise QuadberkError(f"x_tilde and p are carried exactly by {carrier}")
 
 
 class ReductionType(Value):
@@ -35,8 +51,7 @@ class ReductionType(Value):
         super().__init__(tag, x_tilde, p)
         if self.tag not in (W1, W2, W3, W4):
             raise QuadberkError(f"unknown stratum tag {self.tag!r}")
-        if (self.tag == W2) != (self.x_tilde is not None) or (self.x_tilde is None) != (self.p is None):
-            raise QuadberkError("x_tilde and p are carried exactly by W2")
+        _check_payload(self.tag == W2, self.x_tilde, self.p, "W2")
         if self.tag == W2 and (self.x_tilde - 2) % self.p == 0:
             raise QuadberkError("W2 payload cannot be 2 mod p (that point is W3)")
 
@@ -44,6 +59,41 @@ class ReductionType(Value):
         if self.tag == W2:
             return f"W2(x_tilde={self.x_tilde} mod {self.p})"
         return self.tag
+
+
+class ResidueKind(Enum):
+    REPELLING = "Repelling"
+    MULTIPLICATIVE = "MultiplicativeIndifferent"
+    ADDITIVE = "AdditiveIndifferent"
+    IDENTITY = "IdIndifferent"
+    MOVED = "MovedConstant"
+
+
+class ResidueClass(Value):
+    """Classification of a residue map; multiplicative carries x = c + 1/c
+    in [0, p) for the eigenvalue ratio c (an F_p quantity even when c lives
+    in F_p^2), together with its prime p."""
+
+    __slots__ = ("kind", "x_tilde", "p")
+
+    def __init__(self, kind: ResidueKind, x_tilde: int | None = None, p: int | None = None):
+        super().__init__(kind, x_tilde, p)
+        _check_payload(self.kind is ResidueKind.MULTIPLICATIVE, self.x_tilde, self.p,
+                       "the multiplicative kind")
+
+    def __repr__(self) -> str:
+        if self.x_tilde is not None:
+            return f"{self.kind.value}(x_tilde={self.x_tilde} mod {self.p})"
+        return self.kind.value
+
+
+#: stratum tag <-> residue kind dictated by the stratification
+STRATUM_TO_RESIDUE = {
+    W1: ResidueKind.REPELLING,
+    W2: ResidueKind.MULTIPLICATIVE,
+    W3: ResidueKind.ADDITIVE,
+    W4: ResidueKind.MOVED,
+}
 
 
 def _pole_order(sigma: SigmaInvariants, p: int) -> int:
@@ -113,3 +163,27 @@ def hsia_check(sigma: SigmaInvariants, ctx: PrimeCtx) -> bool:
     if stratum(sigma, ctx).tag == W1:
         return True
     return any(v < 0 for v in multiplier_valuations(sigma, ctx))
+
+
+def classify_residue(residue: ResidueMap) -> ResidueClass:
+    """Dynamical class of a residue map.
+
+    Degree 2 is repelling, degree 0 a moved (constant) point.  Degree 1
+    maps are classified through the residue matrix M with rows F~ and G~:
+    scalar M is the identity, tr(M)^2 = 4 det(M) is additive (unipotent up
+    to scalar), and otherwise the map is multiplicative with x = tr^2/det - 2.
+    """
+    if residue.degree == 2:
+        return ResidueClass(ResidueKind.REPELLING)
+    if residue.degree == 0:
+        return ResidueClass(ResidueKind.MOVED)
+    (alpha, beta), (gamma, delta) = residue.ftilde, residue.gtilde
+    p = residue.ctx.p
+    if beta % p == 0 and gamma % p == 0 and alpha % p == delta % p:
+        return ResidueClass(ResidueKind.IDENTITY)
+    tr = (alpha + delta) % p
+    det = (alpha * delta - beta * gamma) % p
+    if (tr * tr - 4 * det) % p == 0:
+        return ResidueClass(ResidueKind.ADDITIVE)
+    x_tilde = (tr * tr * pow(det, -1, p) - 2) % p
+    return ResidueClass(ResidueKind.MULTIPLICATIVE, x_tilde, p)

@@ -20,14 +20,13 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from .classifier import W2, multiplier_valuations, stratum
+from .classifier import W2, classify_residue, multiplier_valuations, stratum
 from .crucial import distinct_fixed_lift, multiple_fixed_lift, verify_consistency
 from .errors import ConsistencyFailure, QuadberkError
 from .invariants import sigma_invariants
 from .padic import INF, PrimeCtx
 from .parsing import parse_map
-from .quadmap import TypeIIPoint, find_crucial_on_segment, ord_res_at, ord_res_profile
-from .reduction import classify_residue, reduce_at
+from .quadmap import TypeIIPoint, find_crucial_on_segment, ord_res_at, ord_res_profile, reduce_at
 from .value import Value
 
 SCHEMA = 1

@@ -11,7 +11,9 @@ closed form from the multiplier data.  The segment search,
 quadmap.find_crucial_on_segment, provides the independent route: the
 profile's minimum, read off the lower hull of its integer lines where the
 slope changes sign.  ``_complete_report`` checks every report against it
-and the residue class, and ``verify_consistency`` adds the sigma
+and against the residue class at xi (quadmap.reduce_at, then
+classifier.classify_residue), which must be the stratum's,
+classifier.STRATUM_TO_RESIDUE; ``verify_consistency`` adds the sigma
 specialization and -mu.
 """
 
@@ -19,21 +21,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .classifier import W1, W2, W3, W4, ReductionType, _pole_order, stratum
+from .classifier import (
+    STRATUM_TO_RESIDUE, W1, W2, W3, W4, ReductionType, _pole_order, classify_residue, stratum,
+)
 from .errors import CentersMissXiError, ConsistencyFailure, NotNormalFormError
 from .invariants import lambda3_from, sigma_invariants
 from .padic import PrimeCtx, Rat, reduce_residue, vp
-from .quadmap import Lift, TypeIIPoint, find_crucial_on_segment
-from .reduction import ResidueKind, classify_residue, reduce_at
+from .quadmap import Lift, TypeIIPoint, find_crucial_on_segment, reduce_at
 from .value import Value, rat
-
-#: stratum tag <-> residue kind dictated by the stratification
-STRATUM_TO_RESIDUE = {
-    W1: ResidueKind.REPELLING,
-    W2: ResidueKind.MULTIPLICATIVE,
-    W3: ResidueKind.ADDITIVE,
-    W4: ResidueKind.MOVED,
-}
 
 
 def multiple_fixed_lift(s: Rat) -> Lift:

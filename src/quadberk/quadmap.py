@@ -1,4 +1,5 @@
-"""Quadratic rational maps as homogeneous lifts, and the ordRes function.
+"""Quadratic rational maps as homogeneous lifts, the ordRes function and
+the residue map.
 
 A map phi = F/G of degree 2 is stored as the six rational coefficients of a
 homogeneous lift [F, G] with F = a0*X^2 + a1*X*Y + a2*Y^2 and
@@ -12,8 +13,9 @@ at m = 0, their p-orders and vp(Res), checked against the resultant of the
 numerators themselves.  _profile_lines reads the profile's lines off it
 (ord_res_profile gives their envelope as integer pieces, _envelope's lower
 hull; find_crucial_on_segment minimizes them through the same hull;
-ord_res_at evaluates them at m), and reduction.reduce_at reads the residue
-map off it; no read builds a power of p, so every m costs the same.
+ord_res_at evaluates them at m), and reduce_at reads the residue map off
+it (classifier.classify_residue gives its class); no read builds a power
+of p, so every m costs the same.  Only this module reads the table.
 
 Type II points of the projective Berkovich line are written in the affine
 chart as a center a in Q together with a radius exponent m, standing for the
@@ -34,10 +36,11 @@ from .errors import (
     DegenerateMapError,
     InternalInvariantError,
     NonIntegralRadiusError,
+    QuadberkError,
     SingularMatrixError,
     UnboundedProfileError,
 )
-from .padic import INF, PrimeCtx, Rat, _int_ord, _lower_hull, vp
+from .padic import INF, PrimeCtx, Rat, _int_ord, _lower_hull, _strip, vp
 from .value import Value, rat
 
 
@@ -86,24 +89,14 @@ class Lift(_Carried):
         ints, L = _integral(self._fields())
         res = _resultant_ints(*ints)
         if res == 0:
-            raise DegenerateMapError(
-                f"lift {self.coeffs} has resultant 0 (degenerate map)"
-            )
+            raise DegenerateMapError(f"{self!r} has resultant 0 (degenerate map)")
         object.__setattr__(self, "_ints", tuple(ints))
         object.__setattr__(self, "_L", L)
         object.__setattr__(self, "_res", res)
 
     @property
-    def f_coeffs(self) -> tuple:
-        return (self.a0, self.a1, self.a2)
-
-    @property
-    def g_coeffs(self) -> tuple:
-        return (self.b0, self.b1, self.b2)
-
-    @property
     def coeffs(self) -> tuple:
-        return self.f_coeffs + self.g_coeffs
+        return self._fields()
 
     def scaled(self, c: Rat) -> "Lift":
         c = rat(c)
@@ -138,13 +131,6 @@ class Mobius(Value):
     def det(self) -> Fraction:
         return self.A * self.D - self.B * self.C
 
-    def inverse(self) -> "Mobius":
-        return Mobius(self.D, -self.B, -self.C, self.A)
-
-    @classmethod
-    def identity(cls) -> "Mobius":
-        return cls(1, 0, 0, 1)
-
     @classmethod
     def affine(cls, scale_by: Rat, shift: Rat) -> "Mobius":
         """z -> scale_by * z + shift."""
@@ -165,10 +151,6 @@ class TypeIIPoint(Value):
 
     def __repr__(self) -> str:
         return f"TypeIIPoint(center={self.center}, radius_exp={self.radius_exp})"
-
-
-def gauss_point() -> TypeIIPoint:
-    return TypeIIPoint(0, 0)
 
 
 def resultant(lift: Lift) -> Fraction:
@@ -315,3 +297,79 @@ def find_crucial_on_segment(lift: Lift, center: Rat, ctx: PrimeCtx) -> tuple:
     points centered at ``center``: minimize_profile on the integer lines
     of _profile_lines, one hull."""
     return minimize_profile(_profile_lines(lift, center, ctx.p))
+
+
+class ResidueMap(Value):
+    """Pair of coprime homogeneous forms over F_p, coefficients leading-first
+    in X; both forms have homogeneous degree = len - 1."""
+
+    __slots__ = ("ftilde", "gtilde", "ctx")
+
+    def __init__(self, ftilde: tuple, gtilde: tuple, ctx: PrimeCtx):
+        super().__init__(ftilde, gtilde, ctx)
+        if len(self.ftilde) != len(self.gtilde):
+            raise QuadberkError("residue forms must share a degree")
+        if not any(self.ftilde) and not any(self.gtilde):
+            raise QuadberkError("residue forms cannot both vanish")
+
+    @property
+    def degree(self) -> int:
+        return len(self.ftilde) - 1
+
+
+def _common_root(w: tuple, p: int):
+    """r with X - r*Y the common factor of two forms with cross product
+    w != 0 and resultant 0, or None for the factor Y: w is proportional to
+    (x^2, x*y, y^2) at the common root (x : y)."""
+    return w[1] * pow(w[2], -1, p) % p if w[2] else None
+
+
+def reduce_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> ResidueMap:
+    """Residue map of the lift at a type II point with integer radius exponent.
+
+    The normalized conjugate by z -> center + p^m z reduces mod p to
+    F~ = (a0, a1, a2) and G~ = (b0, b1, b2), read off the m = 0 table of
+    _segment: coefficient i is the p-free part of nums[i] times the
+    inverse of the p-free part of L*den^3 where vp(nums[i]) + k_i*m is
+    least, and 0 elsewhere, so no power of p is built and any m costs the
+    same.  If one form vanishes, the map is the constant 0 or infinity;
+    otherwise, with the cross product
+    w = (a1*b2 - a2*b1, a2*b0 - a0*b2, a0*b1 - a1*b0):
+
+      * w = 0: the forms are proportional; the map is the constant a_i/b_i
+        at the first nonzero a_i;
+      * w1^2 - w0*w2 != 0: the resultant is a unit; the map is F~/G~;
+      * otherwise the common root is (w1 : w2), or (1 : 0) when w2 = 0;
+        dividing out X - r*Y leaves (a0, a1 + r*a0) and (b0, b1 + r*b0),
+        dividing out Y leaves (a1, a2) and (b1, b2).
+    """
+    p, m = ctx.p, _radius(point)
+    nums, ords, _ = _segment(lift, point.center, p)
+    # INF + k*m overflows once |m| passes the float range
+    orders = [INF if o == INF else o + k * m for k, o in zip(_K, ords)]
+    v = min(orders)
+    inv = pow(_strip(lift._L * point.center.denominator**3, p)[0], -1, p)
+    reduced = [_strip(n, p)[0] * inv % p if e == v else 0 for n, e in zip(nums, orders)]
+    ftilde, gtilde = tuple(reduced[:3]), tuple(reduced[3:])
+    if not any(ftilde):
+        return ResidueMap((0,), (1,), ctx)
+    if not any(gtilde):
+        return ResidueMap((1,), (0,), ctx)
+    (a0, a1, a2), (b0, b1, b2) = ftilde, gtilde
+    w = ((a1 * b2 - a2 * b1) % p, (a2 * b0 - a0 * b2) % p, (a0 * b1 - a1 * b0) % p)
+    if not any(w):
+        i = next(i for i, c in enumerate(ftilde) if c)
+        return ResidueMap((ftilde[i],), (gtilde[i],), ctx)
+    if (w[1] * w[1] - w[0] * w[2]) % p:
+        return ResidueMap(ftilde, gtilde, ctx)
+    r = _common_root(w, p)
+    if r is None:
+        (l0, l1), qf, qg = (0, 1), (a1, a2), (b1, b2)
+    else:
+        (l0, l1), qf, qg = (1, -r), (a0, (a1 + r * a0) % p), (b0, (b1 + r * b0) % p)
+    for form, (q0, q1) in ((ftilde, qf), (gtilde, qg)):
+        if any((u - c) % p for u, c in zip((l0 * q0, l0 * q1 + l1 * q0, l1 * q1), form)):
+            raise InternalInvariantError(
+                f"({l0}X + {l1}Y)({q0}X + {q1}Y) is not the residue form {form} mod {p}"
+            )
+    return ResidueMap(qf, qg, ctx)

@@ -92,8 +92,8 @@ def conjugate_oracle(lift: Lift, g: Mobius) -> Lift:
             c0 * B * B + c1 * B * D + c2 * D * D,
         )
 
-    fc = compose(*lift.f_coeffs)
-    gc = compose(*lift.g_coeffs)
+    fc = compose(*lift.coeffs[:3])
+    gc = compose(*lift.coeffs[3:])
     new_f = tuple(D * fc[i] - B * gc[i] for i in range(3))
     new_g = tuple(-C * fc[i] + A * gc[i] for i in range(3))
     return Lift(*new_f, *new_g)
@@ -140,8 +140,8 @@ def profile_lines_oracle(lift: Lift, center, ctx) -> dict:
     line is m -> vp(Res) + 6m - 4*(vp(c_i) + k_i*m), vp(Res) of the
     Fraction resultant."""
     a = Fraction(center)
-    a0, a1, a2 = lift.f_coeffs
-    b0, b1, b2 = lift.g_coeffs
+    a0, a1, a2 = lift.coeffs[:3]
+    b0, b1, b2 = lift.coeffs[3:]
     f_at, g_at = a0 * a * a + a1 * a + a2, b0 * a * a + b1 * a + b2
     fprime, gprime = 2 * a0 * a + a1, 2 * b0 * a + b1
     coeffs = [
@@ -643,3 +643,29 @@ def conjugated_normal_forms(draw, affine: bool):
     # gamma^(-1)(w) = (D*w - B)/(A - C*w)
     centers = [(g.D * w - g.B) / (g.A - g.C * w) for w in (0, -1) if g.A != g.C * w]
     return phi, conjugate(phi, g), centers, ctx
+
+
+def milnor_model(s1, s2) -> Lift:
+    """Milnor's model (2z^2 + (2 - s1)z + 2 - s1) / (-z^2 + (2 + s1)z + 2 - s1 - s2)
+    of the point (s1, s2) of M2, whose sigma invariants are (s1, s2)
+    (Milnor, Experiment. Math. 2, 1993; Silverman, ADS, section 4.6).
+    Infinity is not fixed, and neither form is a normal form's.  Its
+    resultant is milnor_resultant(s1, s2): DegenerateMapError on that cubic."""
+    return Lift(2, 2 - s1, 2 - s1, -1, 2 + s1, 2 - s1 - s2)
+
+
+def milnor_resultant(s1, s2):
+    """The resultant of milnor_model(s1, s2), a cubic in (s1, s2)."""
+    return -2 * s1**3 - s1**2 * s2 + s1**2 + 8 * s1 * s2 - 12 * s1 + 4 * s2**2 - 12 * s2 + 36
+
+
+# rationals whose denominators carry powers of 2, 3, 5 and 7, so that sigma
+# has poles at the primes the properties run at
+_MILNOR_RATIONAL = st.builds(
+    lambda n, a, b, c, d: Fraction(n, 2**a * 3**b * 5**c * 7**d),
+    st.integers(-10**4, 10**4), *[st.integers(0, 3)] * 4,
+)
+
+#: (sigma1, sigma2) off Milnor's resultant cubic, where milnor_model realizes it
+milnor_sigmas = st.tuples(_MILNOR_RATIONAL, _MILNOR_RATIONAL).filter(
+    lambda s: milnor_resultant(*s) != 0)

@@ -474,7 +474,7 @@ def _common_root_at_infinity(module):
     ("quadmap", _first_numerator_times_5, ["ordres", "-p", "5", "--map", "z^2"]),
     ("quadmap", _first_numerator_times_5, ["find-crucial", "-p", "5", "--map", "z^2"]),
     ("quadmap", _first_numerator_times_5, ["reduce-at", "-p", "5", "--map", "z^2"]),
-    ("reduction", _common_root_at_infinity,
+    ("quadmap", _common_root_at_infinity,
      ["reduce-at", "-p", "5", "--map", "z + 1/5 + 1/z", "--rexp", "-1"]),
 ], ids=["verify-sigma-degree", "sweep-sigma-degree", "ordres-routes", "find-crucial-table",
         "reduce-at-table", "reduce-at-factor"])
@@ -492,9 +492,8 @@ def test_cli_reports_failed_internal_checks_as_consistency_failures(
 
 
 def test_cli_consistency_failure_json_details(capsys, monkeypatch):
-    from quadberk import ConsistencyFailure, ReductionType, ResidueClass, TypeIIPoint
+    from quadberk import ConsistencyFailure, ReductionType, ResidueClass, ResidueKind, TypeIIPoint
     from quadberk import cli as cli_module
-    from quadberk.reduction import ResidueKind
 
     details = {
         "lift": Lift(1, Fraction(1, 5), 1, 0, 1, 0),

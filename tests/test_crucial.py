@@ -30,9 +30,11 @@ from quadberk import (
     verify_consistency,
     vp,
 )
+from quadberk.classifier import _pole_order
 from _support import (
-    CASES, case_instance as _case_instance, conjugated_normal_forms, conjugation_cases, normal_form_corpus,
-    ord_res_profile_oracle, profile_lines_oracle, profile_minimum_oracle, rand_lift, rand_unit,
+    CASES, case_instance as _case_instance, conjugated_normal_forms, conjugation_cases, milnor_model,
+    milnor_sigmas, normal_form_corpus, ord_res_profile_oracle, profile_lines_oracle,
+    profile_minimum_oracle, rand_lift, rand_unit,
 )
 
 P3, P5 = PrimeCtx(3), PrimeCtx(5)
@@ -422,6 +424,24 @@ def test_verify_at_the_mobius_images_of_the_normal_form_centers(case):
     except CentersMissXiError:
         return
     _same_answer(report, verify_consistency(phi, ctx))
+
+
+@given(milnor_sigmas, st.fractions(-9, 9, max_denominator=12))
+@settings(max_examples=200, deadline=None)
+def test_verify_on_milnor_models_answers_minus_mu_or_names_the_miss(sigmas, center):
+    # off the two normal forms: at every point ordRes >= -mu, so no profile
+    # dips below it, and centers that reach -mu have found xi
+    lift = milnor_model(*sigmas)
+    sigma = sigma_invariants(lift)
+    centers = [0, -1, center]
+    for p in (2, 3, 5, 7):
+        ctx, minus_mu = PrimeCtx(p), _pole_order(sigma, p)
+        assert all(find_crucial_on_segment(lift, c, ctx)[1] >= minus_mu for c in centers)
+        try:
+            report = verify_consistency(lift, ctx, centers=centers)
+        except CentersMissXiError:
+            continue
+        assert report.min_ord_res == minus_mu
 
 
 def test_identify_normal_form():

@@ -16,6 +16,7 @@ from quadberk import (
     distinct_fixed_lift,
     lambda3_from,
     multiple_fixed_lift,
+    resultant,
     sigma_invariants,
 )
 from _support import (
@@ -25,6 +26,9 @@ from _support import (
     mul,
     perm_det,
     rand_lift,
+    milnor_model,
+    milnor_resultant,
+    milnor_sigmas,
     rand_mobius,
     scale,
     sigma_milnor_oracle,
@@ -168,6 +172,23 @@ def lifts_with_denominators(draw):
 def test_sigma_ignores_projective_scaling(lift, c):
     # sigma reads the lift's integers, a multiple of the lift: any multiple gives the same
     assert sigma_invariants(lift.scaled(c)) == sigma_invariants(lift)
+
+
+@given(milnor_sigmas)
+@settings(max_examples=300, deadline=None)
+def test_sigma_of_milnor_model_gives_back_its_point(sigmas):
+    # infinity is not fixed, so sigma takes its general path; the round trip
+    # checks sigma off the normal forms, independently of Milnor's quartics
+    model = milnor_model(*sigmas)
+    assert resultant(model) == milnor_resultant(*sigmas)
+    assert sigma_invariants(model).as_tuple() == (*sigmas, sigmas[0] - 2)
+
+
+@pytest.mark.parametrize("sigmas", [(2, 0), (3, 3), (3, Fraction(-15, 4))])
+def test_milnor_model_is_degenerate_on_the_resultant_cubic(sigmas):
+    assert milnor_resultant(*sigmas) == 0
+    with pytest.raises(DegenerateMapError):
+        milnor_model(*sigmas)
 
 
 def test_sigma_checks_its_cubic(monkeypatch):

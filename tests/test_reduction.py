@@ -18,7 +18,6 @@ from quadberk import (
     classify_residue,
     conjugate,
     distinct_fixed_lift,
-    gauss_point,
     normalize,
     ord_res_at,
     parse_map,
@@ -31,7 +30,7 @@ P3, P5 = PrimeCtx(3), PrimeCtx(5)
 
 
 def test_reduce_at_good_reduction():
-    residue = reduce_at(Lift(1, 0, 0, 0, 0, 1), gauss_point(), P5)
+    residue = reduce_at(Lift(1, 0, 0, 0, 0, 1), TypeIIPoint(0, 0), P5)
     assert residue.degree == 2
     assert residue.ftilde == (1, 0, 0) and residue.gtilde == (0, 0, 1)
     assert classify_residue(residue).kind is ResidueKind.REPELLING
@@ -67,11 +66,11 @@ def test_reduce_at_moved_case():
 
 def test_reduce_at_checks_common_factor(monkeypatch):
     # the check must survive python -O, so it may not be an assert
-    from quadberk import reduction
+    from quadberk import quadmap
 
     # the residue pair (z^2 + z)/z shares the factor X; a "common root" at
     # infinity claims the factor Y, which divides neither form
-    monkeypatch.setattr(reduction, "_common_root", lambda w, p: None)
+    monkeypatch.setattr(quadmap, "_common_root", lambda w, p: None)
     with pytest.raises(InternalInvariantError):
         reduce_at(Lift(1, Fraction(1, 5), 1, 0, 1, 0), TypeIIPoint(0, -1), P5)
 
@@ -93,7 +92,7 @@ def test_reduce_at_matches_euclid_oracle_on_every_pair(p):
     for forms in product(range(p), repeat=6):
         if not any(forms):
             continue
-        residue = reduce_at(_lift_reducing_to(forms, p), gauss_point(), ctx)
+        residue = reduce_at(_lift_reducing_to(forms, p), TypeIIPoint(0, 0), ctx)
         expected = residue_forms_oracle(forms[:3], forms[3:], p)
         assert (residue.ftilde, residue.gtilde) == expected, forms
 
@@ -103,8 +102,8 @@ def _assert_reduce_at_matches_euclid_oracle(lift, point, ctx):
     # reduced coefficient by coefficient, then the forms by Euclid mod p
     gamma = Mobius.affine(Fraction(ctx.p) ** int(point.radius_exp), point.center)
     conj, _ = normalize(conjugate(lift, gamma), ctx)
-    fbar = tuple(reduce_residue(c, ctx) for c in conj.f_coeffs)
-    gbar = tuple(reduce_residue(c, ctx) for c in conj.g_coeffs)
+    fbar = tuple(reduce_residue(c, ctx) for c in conj.coeffs[:3])
+    gbar = tuple(reduce_residue(c, ctx) for c in conj.coeffs[3:])
     residue = reduce_at(lift, point, ctx)
     assert (residue.ftilde, residue.gtilde) == residue_forms_oracle(fbar, gbar, ctx.p)
 

@@ -29,7 +29,6 @@ from quadberk import (
     SigmaInvariants,
     TypeIIPoint,
     distinct_fixed_lift,
-    gauss_point,
     predict_xi_multiple_fixed,
     reduce_at,
     verify_consistency,
@@ -54,7 +53,7 @@ CASES = [
     (lambda: ReductionType("W2", 1, 3), "W2(x_tilde=1 mod 3)"),
     (lambda: ResidueClass(ResidueKind.REPELLING), "Repelling"),
     (lambda: ResidueClass(ResidueKind.MULTIPLICATIVE, 0, 5), "MultiplicativeIndifferent(x_tilde=0 mod 5)"),
-    (lambda: reduce_at(M5, gauss_point(), P5), "ResidueMap(ftilde=(1,), gtilde=(0,), ctx=PrimeCtx(5))"),
+    (lambda: reduce_at(M5, TypeIIPoint(0, 0), P5), "ResidueMap(ftilde=(1,), gtilde=(0,), ctx=PrimeCtx(5))"),
     (lambda: predict_xi_multiple_fixed(F(1, 5), P5),
      "CrucialReport(xi=TypeIIPoint(center=0, radius_exp=-1), stratum=W3, "
      "residue_class=AdditiveIndifferent, residue_unavailable=None, min_ord_res=Fraction(2, 1), "
@@ -137,14 +136,14 @@ def test_values_are_compared_field_by_field():
     assert Lift(1, 0, 1, 0, 1, 0) != Lift(1, 1, 1, 0, 1, 0)
     assert Lift(1, 0, 1, 0, 1, 0) == Lift(F(1), F(0), F(1), 0, 1, 0)
     assert ReductionType("W2", 1, 3) != ReductionType("W2", 1, 5)
-    assert TypeIIPoint(0, 0) == gauss_point() != TypeIIPoint(0, 1)
+    assert TypeIIPoint(0, 0) == TypeIIPoint(F(0), F(0)) != TypeIIPoint(0, 1)
 
 
 def test_value_arity_is_checked():
     with pytest.raises(TypeError):
         Lift(1, 0, 1, 0, 1)
     with pytest.raises(TypeError):
-        CrucialReport(gauss_point(), ReductionType("W1"))
+        CrucialReport(TypeIIPoint(0, 0), ReductionType("W1"))
 
 
 # each input must be stored as a value whose type is exactly Fraction
