@@ -3,13 +3,13 @@
 The three fixed points of a quadratic rational map carry multipliers
 (lambda_1, lambda_2, lambda_3) that may be irrational even for a rational
 map; their elementary symmetric functions (sigma_1, sigma_2, sigma_3) are
-rational and are computed here exactly from a difference table of four
-integer resultants of the integers the lift carries from construction,
-or, when infinity is fixed, of one conjugate of those integers: each the
-determinant of a fixed-shape 5x5 Sylvester matrix, by exact Fraction
-elimination.  The identity sigma_3 = sigma_1 - 2, a consequence of the
-rational fixed-point residue formula sum 1/(1 - lambda_i) = 1, is
-enforced on the result type and doubles as an internal cross-check.
+rational and are computed here exactly from three integer resultants of
+the integers the lift carries from construction, or, when infinity is
+fixed, of one conjugate of those integers (5x5 Sylvester determinants by
+exact Fraction elimination), and the carried resultant Res(F, G).  The
+identity sigma_3 = sigma_1 - 2, a consequence of the rational
+fixed-point residue formula sum 1/(1 - lambda_i) = 1, is enforced on the
+result type and checks all three determinants against Res(F, G).
 """
 
 from __future__ import annotations
@@ -56,21 +56,21 @@ def lambda3_from(lambda1: Rat, lambda2: Rat) -> Fraction:
     return (l1 + l2 - 2) / (l1 * l2 - 1)
 
 
-def _sigma_from_finite_fixed(lift: Lift, ints: list) -> SigmaInvariants:
-    """sigma invariants from the integers of a multiple of the lift, b0 != 0.
-
-    With P the cubic fixed-point polynomial, A(z) = f'(z) - z*g'(z) and
-    B(z) = g(z), the multiplier at a fixed root alpha is A(alpha)/B(alpha);
-    M(T) = Res_z(P, A - T*B) is then proportional to the cubic with the
-    multipliers as roots.  M is read off the difference table of its four
-    integer values M(0..3).  Its T^3 coefficient is -b0*Res(F, G), nonzero
-    here, so a degree other than 3 is an internal error.
+def _sigma_from_finite_fixed(ints: list, res: int) -> SigmaInvariants:
+    """sigma invariants from the integers of a multiple of the lift, b0 != 0,
+    and their resultant res.  With P the cubic fixed-point polynomial,
+    A(z) = f'(z) - z*g'(z) and B(z) = g(z), the multiplier at a fixed root
+    alpha is A(alpha)/B(alpha); M(T) = Res_z(P, A - T*B) is then
+    proportional to the cubic with the multipliers as roots.  Its T^3
+    coefficient Res_z(P, -B) = -b0*res is nonzero (res != 0 is checked where
+    it is made), so three integer values M(0..2) fix M.  sigma3 = sigma1 - 2
+    reads M(0) + 2*M(1) - M(2) = 2*b0*res, a check of each value against res.
     """
     a0, a1, a2, b0, b1, b2 = ints
     # leading-first at formal degrees 3 and 2: P, and Q_t = A - t*B
     p3, p2, p1, p0 = map(Fraction, (-b0, a0 - b1, a1 - b2, a2))
     values = []
-    for t in (0, 1, 2, 3):
+    for t in (0, 1, 2):
         q2, q1, q0 = map(Fraction, (-(2 + t) * b0, 2 * a0 - (1 + t) * b1, a1 - t * b2))
         sylvester = [
             [p3, p2, p1, p0, _ZERO],
@@ -81,9 +81,7 @@ def _sigma_from_finite_fixed(lift: Lift, ints: list) -> SigmaInvariants:
         ]
         # a determinant of integer rows: its denominator is 1
         values.append(_det(sylvester).numerator)
-    c0, c1, c2, c3 = _difference_table(*values)
-    if c3 == 0:
-        raise InternalInvariantError(f"multiplier polynomial of {lift} has degree below 3")
+    c0, c1, c2, c3 = _difference_table(*values, -b0 * res)
     return SigmaInvariants(Fraction(-c2, c3), Fraction(c1, c3), Fraction(-c0, c3))
 
 
@@ -110,14 +108,14 @@ def _det(rows: list) -> Fraction:
     return det
 
 
-def _difference_table(y0: int, y1: int, y2: int, y3: int) -> tuple:
-    """(C0, C1, C2, C3) with 6*M(T) = C3*T^3 + C2*T^2 + C1*T + C0 for the
-    polynomial M of degree <= 3 with M(t) = y_t, t = 0..3: Newton's forward
-    differences at 0, with integer coefficients for integer values."""
-    d1 = y1 - y0
-    d2 = y2 - 2 * y1 + y0
-    d3 = y3 - 3 * y2 + 3 * y1 - y0
-    return 6 * y0, 6 * d1 - 3 * d2 + 2 * d3, 3 * d2 - 3 * d3, d3
+def _difference_table(y0: int, y1: int, y2: int, lead: int) -> tuple:
+    """(C0, C1, C2, C3) with 2*M(T) = C3*T^3 + C2*T^2 + C1*T + C0 for the
+    cubic M with T^3 coefficient lead and M(t) = y_t, t = 0..2: the
+    differences of the values less lead*t^3, integers for integer input."""
+    e1 = y1 - y0 - lead
+    e2 = y2 - y0 - 8 * lead
+    c2 = e2 - 2 * e1
+    return 2 * y0, 2 * e1 - c2, c2, 2 * lead
 
 
 def _deterministic_shift(ints: list) -> list:
@@ -136,15 +134,16 @@ def sigma_invariants(lift: Lift) -> SigmaInvariants:
 
     Computed on the lift's carried integers, a multiple that sigma does
     not see.  If infinity is fixed (b0 = 0), they are first conjugated
-    once, moving all fixed points into the affine line.  One computation then suffices:
-    the multiplier polynomial has degree 3 whenever b0 != 0 (see
+    once, moving all fixed points into the affine line, and the
+    conjugate's resultant is checked.  One computation then suffices: the
+    multiplier polynomial has degree 3 whenever b0 != 0 (see
     _sigma_from_finite_fixed), and sigma_3 = sigma_1 - 2 holds for every
-    map.  Both are still checked, and a failure of either raises
-    InternalInvariantError rather than guessing.
+    map, which is still checked: a failure raises InternalInvariantError.
     """
-    ints = lift._ints
+    ints, res = lift._ints, lift._res
     if ints[3] == 0:
         ints = _deterministic_shift(ints)
-        if _resultant_ints(*ints) == 0:  # checked, not assumed
+        res = _resultant_ints(*ints)
+        if res == 0:  # checked, not assumed
             raise DegenerateMapError(f"sigma's conjugate off infinity {ints} has resultant 0")
-    return _sigma_from_finite_fixed(lift, ints)
+    return _sigma_from_finite_fixed(ints, res)

@@ -263,9 +263,56 @@ def sigma_milnor_oracle(lift: Lift) -> tuple:
     return tuple(Fraction(n, res) for n in (n1, n2, n1 - 2 * res))
 
 
+def multiplier_values_oracle(ints) -> list:
+    """[M(0), M(1), M(2), M(3)] of the multiplier cubic M(t) = Res_z(P, A - t*B)
+    at formal degrees (3, 2), with P = f - z*g, A = f' - z*g' and B = g
+    built from the six integers of f and g, each by perm_det of the generic
+    Sylvester matrix."""
+    a0, a1, a2, b0, b1, b2 = ints
+    f, g = [a2, a1, a0], [b2, b1, b0]
+    z = [0, 1]
+    p_fix = add(f, scale(mul(z, g), -1))
+    a_poly = add([a1, 2 * a0], scale(mul(z, [b1, 2 * b0]), -1))
+    return [perm_det(sylvester_matrix(p_fix, add(a_poly, scale(g, -t)), 3, 2)) for t in range(4)]
+
+
+def difference_table_oracle(y0, y1, y2, y3) -> tuple:
+    """(C0, C1, C2, C3) with 6*M(T) = C3*T^3 + C2*T^2 + C1*T + C0 for the
+    polynomial M of degree <= 3 with M(t) = y_t, t = 0..3: Newton's forward
+    differences at 0, with integer coefficients for integer values."""
+    d1 = y1 - y0
+    d2 = y2 - 2 * y1 + y0
+    d3 = y3 - 3 * y2 + 3 * y1 - y0
+    return 6 * y0, 6 * d1 - 3 * d2 + 2 * d3, 3 * d2 - 3 * d3, d3
+
+
+def finite_fixed_ints_oracle(lift: Lift) -> list:
+    """Integers of a lift of the map or, if infinity is fixed (b0 = 0), of its
+    conjugate by z -> c + 1/z, c >= 0 the least integer that is not fixed,
+    composed by conjugate_oracle: infinity is not fixed in the result."""
+    if lift.b0 == 0:
+        c = 0
+        while lift.a0 * c * c + lift.a1 * c + lift.a2 == c * (lift.b1 * c + lift.b2):
+            c += 1
+        lift = conjugate_oracle(lift, Mobius(c, 1, 1, 0))
+    ints = integral_oracle(lift.coeffs)[0]
+    assert ints[3] != 0
+    return ints
+
+
+def sigma_four_values_oracle(lift: Lift) -> tuple:
+    """(sigma1, sigma2, sigma3) by the four-value route: M(0..3) of
+    finite_fixed_ints_oracle's integers by multiplier_values_oracle, the
+    cubic 6*M by difference_table_oracle, no value read off a resultant."""
+    values = multiplier_values_oracle(finite_fixed_ints_oracle(lift))
+    c0, c1, c2, c3 = difference_table_oracle(*values)
+    return (-c2 / c3, c1 / c3, -c0 / c3)
+
+
 # dense Fraction polynomial arithmetic, low-to-high, [] the zero
-# polynomial: the kernels of the Fraction parser below, and Lagrange
-# interpolation, the oracle of sigma's difference table
+# polynomial: the kernels of the Fraction parser below, of the multiplier
+# values above, and Lagrange interpolation, the oracle of sigma's
+# difference table
 
 
 def trim(p: list) -> list:

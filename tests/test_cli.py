@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -454,9 +455,11 @@ def test_cli_consistency_failure_exit_code(capsys, monkeypatch):
     assert "routes disagree" in captured.err
 
 
-def _cubic_of_degree_2(module):
-    exact = module._difference_table
-    return "_difference_table", lambda *values: (*exact(*values)[:3], 0)
+def _first_value_off_by_one(module):
+    # M(0) of every sigma one too large (sigma makes three _det calls), so
+    # sigma3 = sigma1 - 2 fails
+    exact, calls = module._det, itertools.count()
+    return "_det", lambda rows: exact(rows) + (next(calls) % 3 == 0)
 
 
 def _first_numerator_times_5(module):
@@ -469,14 +472,14 @@ def _common_root_at_infinity(module):
 
 
 @pytest.mark.parametrize("module_name, patch, argv", [
-    ("invariants", _cubic_of_degree_2, ["verify", "-p", "3", "--map", "z + 1/3 + 1/z"]),
-    ("invariants", _cubic_of_degree_2, ["sweep", "-p", "3", "--form", "A", "--l1", "1/3,1"]),
+    ("invariants", _first_value_off_by_one, ["verify", "-p", "3", "--map", "z + 1/3 + 1/z"]),
+    ("invariants", _first_value_off_by_one, ["sweep", "-p", "3", "--form", "A", "--l1", "1/3,1"]),
     ("quadmap", _first_numerator_times_5, ["ordres", "-p", "5", "--map", "z^2"]),
     ("quadmap", _first_numerator_times_5, ["find-crucial", "-p", "5", "--map", "z^2"]),
     ("quadmap", _first_numerator_times_5, ["reduce-at", "-p", "5", "--map", "z^2"]),
     ("quadmap", _common_root_at_infinity,
      ["reduce-at", "-p", "5", "--map", "z + 1/5 + 1/z", "--rexp", "-1"]),
-], ids=["verify-sigma-degree", "sweep-sigma-degree", "ordres-routes", "find-crucial-table",
+], ids=["verify-sigma-relation", "sweep-sigma-relation", "ordres-routes", "find-crucial-table",
         "reduce-at-table", "reduce-at-factor"])
 def test_cli_reports_failed_internal_checks_as_consistency_failures(
         capsys, monkeypatch, module_name, patch, argv):

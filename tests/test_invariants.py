@@ -20,19 +20,19 @@ from quadberk import (
     sigma_invariants,
 )
 from _support import (
-    add,
     esf3,
+    finite_fixed_ints_oracle,
     lagrange_interpolate,
-    mul,
+    multiplier_values_oracle,
     perm_det,
     rand_lift,
     milnor_model,
     milnor_resultant,
     milnor_sigmas,
     rand_mobius,
-    scale,
+    sigma_four_values_oracle,
     sigma_milnor_oracle,
-    sylvester_matrix,
+    sylvester_rows,
 )
 
 Z_SQUARED = Lift(1, 0, 0, 0, 0, 1)
@@ -198,18 +198,45 @@ def test_sigma_checks_its_cubic(monkeypatch):
     exact = invariants._det
 
     def quadratic_first(rows):
-        # M(t) = t^2 + 1 on the first four calls, the true values after: a
+        # M(t) = t^2 + 1 on the first three calls, the true values after: a
         # retry would then succeed
         nonlocal calls
         t, calls = calls, calls + 1
-        return t * t + 1 if t < 4 else exact(rows)
+        return t * t + 1 if t < 3 else exact(rows)
 
     monkeypatch.setattr(invariants, "_det", quadratic_first)
     for lift in (distinct_fixed_lift(Fraction(1, 3), 2), Lift(1, 2, 3, 4, 5, 7)):
         calls = 0
         with pytest.raises(InternalInvariantError):
             sigma_invariants(lift)
-        assert calls == 4
+        assert calls == 3
+
+
+@pytest.mark.parametrize("lift", [
+    distinct_fixed_lift(Fraction(1, 3), 2), Lift(1, 2, 3, 4, 5, 7), Z_SQUARED,
+], ids=["normal-form", "finite-fixed", "infinity-fixed"])
+def test_sigma_checks_each_value_against_the_resultant(monkeypatch, lift):
+    # sigma3 = sigma1 - 2 reads M(0) + 2*M(1) - M(2) = 2*b0*Res: one value
+    # off by one, whichever, raises; the check may not be an assert (-O)
+    from quadberk import invariants
+
+    exact, calls, off_by = invariants._det, [], {}
+
+    def det(rows):
+        calls.append(rows)
+        return exact(rows) + off_by.get(len(calls) - 1, 0)
+
+    monkeypatch.setattr(invariants, "_det", det)
+    assert sigma_invariants(lift).as_tuple() == sigma_milnor_oracle(lift)
+    assert len(calls) == 3
+    for i in range(3):
+        for delta in (1, -1):
+            calls.clear()
+            off_by.clear()
+            off_by[i] = delta
+            with pytest.raises(InternalInvariantError):
+                sigma_invariants(lift)
+            assert len(calls) == 3
 
 
 small_entries = st.integers(-50, 50) | st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
@@ -264,19 +291,13 @@ def finite_fixed_ints(draw):
 @given(finite_fixed_ints())
 @settings(max_examples=200, deadline=None)
 def test_sigma_resultants_match_generic_sylvester(ints):
-    # M(t) = Res_z(P, A - t*B) at formal degrees (3, 2), with P = f - z*g,
-    # A = f' - z*g' and B = g built here from f and g, against the
-    # permutation expansion of the generic Sylvester matrix
+    # the three values M(0..2) are Res_z(P, A - t*B), against the
+    # permutation expansion of the generic Sylvester matrix, and the lead is
+    # -b0 times the permutation expansion of Res(F, G)
     from quadberk import invariants
 
-    a0, a1, a2, b0, b1, b2 = ints
-    f, g = [a2, a1, a0], [b2, b1, b0]
-    z = [0, 1]
-    p_fix = add(f, scale(mul(z, g), -1))
-    a_poly = add([a1, 2 * a0], scale(mul(z, [b1, 2 * b0]), -1))
-    expected = [
-        perm_det(sylvester_matrix(p_fix, add(a_poly, scale(g, -t)), 3, 2)) for t in range(4)
-    ]
+    expected = multiplier_values_oracle(ints)[:3]
+    lead = -ints[3] * perm_det(sylvester_rows(ints[:3], ints[3:]))
     seen = []
     table = invariants._difference_table
 
@@ -285,33 +306,51 @@ def test_sigma_resultants_match_generic_sylvester(ints):
         return table(*values)
 
     with mock.patch.object(invariants, "_difference_table", recording):
-        invariants._sigma_from_finite_fixed(Lift(*ints), ints)
-    assert seen == [tuple(expected)]
+        sigma_invariants(Lift(*ints))
+    assert seen == [(*expected, lead)]
 
 
 @st.composite
-def value_quadruples(draw):
-    """Four integers up to 2^200, on a polynomial of degree < 3 in about
-    half the draws (third forward difference 0)."""
+def infinity_fixed_lifts(draw):
+    """finite_fixed_ints with b0 set to 0, kept when still nondegenerate."""
+    a0, a1, a2, _, b1, b2 = draw(finite_fixed_ints())
+    assume((a0 * b2) ** 2 != a0 * b1 * (a1 * b2 - a2 * b1))
+    return Lift(a0, a1, a2, 0, b1, b2)
+
+
+@given(st.one_of(finite_fixed_ints().map(lambda ints: Lift(*ints)), infinity_fixed_lifts()))
+@settings(max_examples=200, deadline=None)
+def test_sigma_matches_the_four_value_oracle(lift):
+    sigma = sigma_invariants(lift).as_tuple()
+    assert sigma == sigma_four_values_oracle(lift) == sigma_milnor_oracle(lift)
+    # the fourth value, which sigma no longer reads, is the cubic through the
+    # three it reads with the lead -b0*Res
+    ints = finite_fixed_ints_oracle(lift)
+    values = multiplier_values_oracle(ints)
+    lead = -ints[3] * perm_det(sylvester_rows(ints[:3], ints[3:]))
+    m0, m1, m2 = (lagrange_interpolate([(t, values[t] - lead * t**3) for t in range(3)])
+                  + [0, 0, 0])[:3]
+    assert values[3] == lead * 27 + m2 * 9 + m1 * 3 + m0
+
+
+@st.composite
+def values_and_lead(draw):
+    """Three integers up to 2^200 and a nonzero lead up to 2^200."""
     big = st.integers(-(2**200), 2**200)
-    y0, y1, y2 = draw(big), draw(big), draw(big)
-    y3 = 3 * y2 - 3 * y1 + y0 if draw(st.booleans()) else draw(big)
-    return y0, y1, y2, y3
+    return draw(big), draw(big), draw(big), draw(big.filter(bool))
 
 
-@given(value_quadruples())
+@given(values_and_lead())
 @settings(max_examples=300, deadline=None)
-def test_difference_table_matches_lagrange(values):
+def test_difference_table_matches_lagrange(args):
+    # the cubic with the given lead through (t, y_t), t = 0..2: Lagrange
+    # through the values less lead*t^3, then the lead put back
     from quadberk import invariants
 
-    cubic = lagrange_interpolate(list(enumerate(values)))
-    expected = [6 * c for c in cubic] + [0] * (4 - len(cubic))
-    assert list(invariants._difference_table(*values)) == expected
-    if expected[3] == 0:
-        # sigma of such values raises instead of dividing by zero
-        with mock.patch.object(invariants, "_det", side_effect=values):
-            with pytest.raises(InternalInvariantError):
-                invariants._sigma_from_finite_fixed(Lift(1, 2, 3, 4, 5, 7), [1, 2, 3, 4, 5, 7])
+    *values, lead = args
+    quadratic = lagrange_interpolate([(t, y - lead * t**3) for t, y in enumerate(values)])
+    expected = [2 * c for c in quadratic] + [0] * (3 - len(quadratic)) + [2 * lead]
+    assert list(invariants._difference_table(*values, lead)) == expected
 
 
 def test_sigma_checks_its_shift(monkeypatch):
