@@ -9,13 +9,13 @@ integers carried from construction: a Lift keeps its coefficients scaled to
 integers by the lcm L of their denominators, L and the integer resultant,
 and one closed-form integer kernel is evaluated on them.  Every read along
 a segment takes one integer table, _segment: the conjugate's six numerators
-at m = 0, their p-orders and vp(Res), checked against the resultant of the
-numerators themselves.  _profile_lines reads the profile's lines off it
-(ord_res_profile gives their envelope as integer pieces, _envelope's lower
-hull; find_crucial_on_segment minimizes them through the same hull;
-ord_res_at evaluates them at m), and reduce_at reads the residue map off
-it (classifier.classify_residue gives its class); no read builds a power
-of p, so every m costs the same.  Only this module reads the table.
+at m = 0, their p-orders and vp(Res), checked by the exact identity
+Res(numerators) = den^12 * Res.  _profile_lines reads the profile's lines
+off it (ord_res_profile gives their envelope as integer pieces, _envelope's
+lower hull; find_crucial_on_segment minimizes them through the same hull),
+ord_res_at reads base + 6m - 4*min(vp + k*m) off it, and reduce_at the
+residue map (classifier.classify_residue gives its class); no read builds a
+power of p, so every m costs the same.  Only this module reads the table.
 
 Type II points of the projective Berkovich line are written in the affine
 chart as a center a in Q together with a radius exponent m, standing for the
@@ -229,42 +229,46 @@ def _segment(lift: Lift, center: Rat, p: int) -> tuple:
     nums[i] * p^(k_i*m) over L*den^3, k = _K, where nums are the integers
     of the conjugate at m = 0; ords are their p-orders (INF for 0), and
     base = vp(Res) + 4*vp(L*den^3) = vp(carried Res) + 12*vp(den).  The
-    resultant of nums must have p-order base, or InternalInvariantError is
-    raised: every monomial of the resultant has k-weight 6, so that of
-    nums[i] * p^(k_i*m + s) is p^(6m + 4s) times it, and this one check is
+    resultant of nums must be den^12 times the carried one, the det^6 of
+    the matrix (den, num; 0, den), or InternalInvariantError is raised; so
+    it has p-order base, and as its monomials have k-weight 6, that of
+    nums[i] * p^(k_i*m + s) is p^(6m + 4s) times it: this one check is
     the direct ordRes route's at every m, for every reader of the table.
     """
     center = rat(center)
     den = center.denominator
     nums = _conjugate_ints(lift._ints, den, center.numerator, 0, den)
     base = _int_ord(lift._res, p) + 12 * _int_ord(den, p)
-    res = _resultant_ints(*nums)
-    direct = _int_ord(res, p) if res else INF  # a degenerate conjugate fails
-    if direct != base:
+    res, expected = _resultant_ints(*nums), lift._res * den**12
+    if res != expected:
+        direct = _int_ord(res, p) if res else INF  # a degenerate conjugate fails
         raise InternalInvariantError(
-            f"resultant of the conjugate at center {center} has p-order {direct}, not {base}",
-            {"lift": lift, "center": center, "p": p, "direct": direct, "base": base},
+            f"resultant of the conjugate at center {center} is not den^12 * Res",
+            {"lift": lift, "center": center, "p": p, "direct": direct, "base": base,
+             "resultant": res, "expected_resultant": expected},
         )
     return nums, [_int_ord(n, p) if n else INF for n in nums], base
 
 
 def _radius(point: TypeIIPoint) -> int:
-    """The radius exponent m of a point, refused unless an integer."""
-    if not point.is_integral:
+    """The radius exponent m, the numerator of the point's exact Fraction,
+    refused unless an integer."""
+    if point.radius_exp.denominator != 1:
         raise NonIntegralRadiusError(f"radius exponent {point.radius_exp} is not an integer")
-    return int(point.radius_exp)
+    return point.radius_exp.numerator
 
 
 def ord_res_at(lift: Lift, point: TypeIIPoint, ctx: PrimeCtx) -> int:
     """ordRes of the map at a type II point with integer radius exponent m.
 
-    The largest of the profile's lines at m, base + 6m - 4v with
-    v = min_i(vp(nums[i]) + k_i*m) on the table of _segment, whose one
-    check at m = 0 is, by k-weight 6, the direct route's at every m.  No
-    power of p is built, so any m costs the same.
+    base + 6m - 4v, v = min_i(vp(nums[i]) + k_i*m) over the nonzero nums
+    of _segment's table, which is the largest of the profile's lines at m;
+    the table's one check at m = 0 is, by k-weight 6, the direct route's
+    at every m.  No power of p is built, so any m costs the same.
     """
     m = _radius(point)
-    return max(s * m + c for s, c in _profile_lines(lift, point.center, ctx.p))
+    _, ords, base = _segment(lift, point.center, ctx.p)
+    return base + 6 * m - 4 * min(o + k * m for k, o in zip(_K, ords) if o != INF)
 
 
 def _profile_lines(lift: Lift, center: Rat, p: int) -> list:

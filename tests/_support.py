@@ -39,7 +39,7 @@ from quadberk import (
 )
 from quadberk import parsing
 from quadberk.padic import _int_ord
-from quadberk.quadmap import _K, _conjugate_ints, _resultant_ints
+from quadberk.quadmap import _K, _conjugate_ints, _profile_lines, _resultant_ints
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from corpus import (  # noqa: E402
@@ -115,6 +115,16 @@ def ord_res_at_oracle(lift: Lift, point, ctx) -> int:
     direct = vp(resultant(conj), ctx)
     assert direct == vp(resultant(lift), ctx) + 6 * int(point.radius_exp) - 4 * mu
     return direct
+
+
+def ord_res_lines_oracle(lift: Lift, point, ctx) -> int:
+    """ordRes at a type II point with integer m as the largest of the
+    profile's lines (slope, intercept) of quadmap._profile_lines at m: the
+    route quadmap.ord_res_at took before it read base + 6m - 4v off the
+    segment table in one formula."""
+    m = int(point.radius_exp)
+    assert m == point.radius_exp
+    return max(s * m + c for s, c in _profile_lines(lift, point.center, ctx.p))
 
 
 def ord_res_direct_oracle(lift: Lift, point, ctx) -> int:

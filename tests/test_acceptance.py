@@ -123,7 +123,7 @@ def test_criterion_3_sigma_identities():
         lift = rand_lift(rng)
         ctx = PrimeCtx(rng.choice(PRIMES))
         point = TypeIIPoint(rand_rat(rng, -5, 5, 4), rng.randint(-4, 4))
-        # the lines at m, whose table _segment checks against the resultant
+        # base + 6m - 4v off the table _segment checks by Res(nums) = den^12 * Res
         # at m = 0, against the resultant of the conjugate's own integers at m
         value = ord_res_at(lift, point, ctx)
         assert value >= 0 and value == ord_res_direct_oracle(lift, point, ctx)

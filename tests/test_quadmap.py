@@ -35,7 +35,10 @@ from quadberk import (
     verify_consistency,
     vp,
 )
-from quadberk.quadmap import _K, _envelope, _integral, _resultant_ints, _segment
+from quadberk.padic import _int_ord
+from quadberk.quadmap import (
+    _K, _conjugate_ints, _envelope, _integral, _resultant_ints, _segment,
+)
 from _support import (
     FractionSub,
     conjugate_oracle,
@@ -45,6 +48,7 @@ from _support import (
     normalized_conjugate_oracle,
     ord_res_at_oracle,
     ord_res_direct_oracle,
+    ord_res_lines_oracle,
     ord_res_profile_oracle,
     perm_det,
     profile_minimum_oracle,
@@ -399,6 +403,62 @@ def test_segment_table_checks_guard_every_reader(monkeypatch, reader):
     assert details["direct"] != details["base"]
 
 
+@pytest.mark.parametrize("index", [0, 2, 4])
+@pytest.mark.parametrize("reader", [
+    lambda lift: ord_res_at(lift, TypeIIPoint(0, -1), P5),
+    lambda lift: ord_res_profile(lift, 0, P5),
+    lambda lift: find_crucial_on_segment(lift, 0, P5),
+    lambda lift: reduce_at(lift, TypeIIPoint(0, -1), P5),
+    lambda lift: verify_consistency(lift, P5),
+], ids=["ord_res_at", "ord_res_profile", "find_crucial_on_segment", "reduce_at",
+        "verify_consistency"])
+def test_segment_table_checks_the_exact_resultant(monkeypatch, reader, index):
+    # doubling numerator 0, 2 or 4 of z + 1/5 + 1/z leaves the resultant's
+    # 5-order as it is, so a check of p-orders alone would pass; the exact
+    # identity Res(nums) = den^12 * Res fails for every reader of the table
+    from quadberk import quadmap
+
+    exact = quadmap._conjugate_ints
+
+    def doubled(ints, A, B, C, D):
+        nums = exact(ints, A, B, C, D)
+        nums[index] *= 2
+        return nums
+
+    lift = parse_map("z + 1/5 + 1/z")
+    res = _resultant_ints(*doubled(lift._ints, 1, 0, 0, 1))
+    assert res != lift._res and _int_ord(res, 5) == _int_ord(lift._res, 5)
+    monkeypatch.setattr(quadmap, "_conjugate_ints", doubled)
+    with pytest.raises(InternalInvariantError) as exc_info:
+        reader(lift)
+    details = exc_info.value.details
+    assert details["lift"] == lift and details["center"] == 0 and details["p"] == 5
+    assert details["direct"] == details["base"]
+    assert details["resultant"] == res and details["expected_resultant"] == lift._res
+
+
+_small = st.integers(-(2**32), 2**32)
+
+
+@given(
+    st.lists(st.integers(-(2**64), 2**64), min_size=6, max_size=6),
+    st.one_of(
+        st.tuples(_small, _small, _small, _small),
+        # the segment matrices z -> num/den + z, scaled to integers
+        st.builds(lambda den, num: (den, num, 0, den), st.integers(1, 2**32), _small),
+        # sigma's shift z -> c + 1/z
+        st.builds(lambda c: (c, 1, 1, 0), st.integers(0, 50)),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_conjugate_ints_scales_the_resultant_by_det_6(ints, matrix):
+    # the one composition kernel of conjugate, _segment and sigma's shift:
+    # conjugating by a matrix scales the resultant by its determinant^6
+    A, B, C, D = matrix
+    conj = _conjugate_ints(ints, A, B, C, D)
+    assert _resultant_ints(*conj) == (A * D - B * C) ** 6 * _resultant_ints(*ints)
+
+
 @given(conjugation_cases())
 @settings(max_examples=200, deadline=None)
 @example((Lift(1, Fraction(1, 2), 1, 0, 1, 0), TypeIIPoint(Fraction(1, 2), 500), PrimeCtx(2)))
@@ -410,10 +470,13 @@ def test_segment_table_checks_guard_every_reader(monkeypatch, reader):
 @example((Lift(13, 1, Fraction(1, 169), 2, 7, 1), TypeIIPoint(5, 2000), PrimeCtx(13)))
 @example((Lift(13, 1, Fraction(1, 169), 2, 7, 1), TypeIIPoint(5, -2000), PrimeCtx(13)))
 def test_ord_res_at_matches_direct_oracle(case):
-    # the lines at m against the resultant of the conjugate's own integers,
+    # the one formula base + 6m - 4v against the largest of the profile's
+    # lines at m and against the resultant of the conjugate's own integers,
     # which builds p^(3|m|)
     lift, point, ctx = case
-    assert ord_res_at(lift, point, ctx) == ord_res_direct_oracle(lift, point, ctx)
+    value = ord_res_at(lift, point, ctx)
+    assert value == ord_res_lines_oracle(lift, point, ctx)
+    assert value == ord_res_direct_oracle(lift, point, ctx)
 
 
 @given(
