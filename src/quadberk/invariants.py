@@ -86,7 +86,7 @@ def _sigma_from_finite_fixed(ints: list, res: int) -> SigmaInvariants:
 
 
 def _det(rows: list) -> Fraction:
-    """Determinant over Q by Gaussian elimination with exact Fractions."""
+    """Determinant over Q by exact Fraction elimination that never rewrites an eliminated column."""
     n = len(rows)
     m = [[rat(x) for x in row] for row in rows]
     det = _ONE
@@ -97,14 +97,14 @@ def _det(rows: list) -> Fraction:
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
+        top = m[col]
+        det *= top[col]
+        for row in m[col + 1:]:
+            if row[col] == 0:
                 continue
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
+            factor = row[col] / top[col]
+            for c in range(col + 1, n):
+                row[c] -= factor * top[c]
     return det
 
 
