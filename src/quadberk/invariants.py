@@ -6,17 +6,18 @@ map; their elementary symmetric functions (sigma_1, sigma_2, sigma_3) are
 rational and are computed here exactly from three integer resultants of
 the integers the lift carries from construction, or, when infinity is
 fixed, of one conjugate of those integers (5x5 Sylvester determinants by
-exact Fraction elimination), and the carried resultant Res(F, G).  The
-identity sigma_3 = sigma_1 - 2, a consequence of the rational
-fixed-point residue formula sum 1/(1 - lambda_i) = 1, is enforced on the
-result type and checks all three determinants against Res(F, G).
+exact Fraction elimination), and the carried resultant Res(F, G), checked
+to be the conjugate's too.  The identity sigma_3 = sigma_1 - 2, a
+consequence of the rational fixed-point residue formula
+sum 1/(1 - lambda_i) = 1, is enforced on the result type and checks all
+three determinants against Res(F, G).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DegenerateMapError, DegenerateMultipliersError, InternalInvariantError
+from .errors import DegenerateMultipliersError, InternalInvariantError
 from .padic import Rat
 from .quadmap import Lift, _conjugate_ints, _resultant_ints
 from .value import Value, rat
@@ -134,16 +135,20 @@ def sigma_invariants(lift: Lift) -> SigmaInvariants:
 
     Computed on the lift's carried integers, a multiple that sigma does
     not see.  If infinity is fixed (b0 = 0), they are first conjugated
-    once, moving all fixed points into the affine line, and the
-    conjugate's resultant is checked.  One computation then suffices: the
-    multiplier polynomial has degree 3 whenever b0 != 0 (see
-    _sigma_from_finite_fixed), and sigma_3 = sigma_1 - 2 holds for every
-    map, which is still checked: a failure raises InternalInvariantError.
+    once, moving all fixed points into the affine line; the shift's
+    matrix (c 1; 1 0) has det -1, and a resultant scales by det^6, so the
+    conjugate's must be the carried Res exactly.  One computation then
+    suffices: the multiplier polynomial has degree 3 whenever b0 != 0 (see
+    _sigma_from_finite_fixed).  That check and sigma_3 = sigma_1 - 2 raise
+    InternalInvariantError when they fail.
     """
     ints, res = lift._ints, lift._res
     if ints[3] == 0:
         ints = _deterministic_shift(ints)
-        res = _resultant_ints(*ints)
-        if res == 0:  # checked, not assumed
-            raise DegenerateMapError(f"sigma's conjugate off infinity {ints} has resultant 0")
+        shifted = _resultant_ints(*ints)
+        if shifted != res:  # checked, not assumed
+            raise InternalInvariantError(
+                "resultant of sigma's conjugate off infinity is not Res",
+                {"lift": lift, "conjugate": ints, "resultant": shifted, "expected_resultant": res},
+            )
     return _sigma_from_finite_fixed(ints, res)

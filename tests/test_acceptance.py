@@ -23,6 +23,7 @@ from quadberk import (
     parse_map,
     reduce_residue,
     sigma_invariants,
+    stratum,
     verify_consistency,
     vp,
 )
@@ -69,9 +70,10 @@ def test_criterion_1_stratification():
     corpus = _corpus()
     assert len(corpus) == len(CASES) * PER_FAMILY
     for kind, ctx, lift, report in corpus:
-        # verify_consistency already asserted: sigma stratum == predicted
-        # stratum == residue classification at xi, payloads included
-        assert report.consistent
+        # verify_consistency already asserted: Sylvester sigma == the
+        # prediction's sigma, sigma stratum == predicted stratum == residue
+        # classification at xi, payloads included
+        assert stratum(report.sigma, ctx) == report.stratum
         if report.stratum.tag == "W2":
             assert report.residue_class.kind is ResidueKind.MULTIPLICATIVE
             assert report.stratum.x_tilde == report.residue_class.x_tilde

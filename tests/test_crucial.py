@@ -32,7 +32,7 @@ from quadberk import (
 )
 from quadberk.classifier import _pole_order
 from _support import (
-    CASES, case_instance as _case_instance, conjugated_normal_forms, conjugation_cases, milnor_model,
+    CASES, case_instance as _case_instance, conjugated_normal_forms, conjugation_cases, esf3, milnor_model,
     milnor_sigmas, normal_form_corpus, ord_res_profile_oracle, profile_lines_oracle,
     profile_minimum_oracle, rand_lift, rand_unit,
 )
@@ -173,7 +173,7 @@ def test_find_crucial_against_grid_oracle():
 
 def test_verify_worked_examples():
     report = verify_consistency(multiple_fixed_lift(Fraction(1, 5)), P5)
-    assert report.consistent
+    assert report.sigma.as_tuple() == (Fraction(74, 25), Fraction(73, 25), Fraction(24, 25))
     assert report.stratum.tag == "W3"
     assert report.residue_class.kind is ResidueKind.ADDITIVE
     assert report.xi == TypeIIPoint(0, -1)
@@ -277,6 +277,41 @@ def test_verify_checks_min_ord_res_against_sigma(monkeypatch):
         assert details["min_ord_res"] == details["minus_mu"] + 1
 
 
+def test_verify_checks_the_route_sigma_against_sylvester(monkeypatch, capsys):
+    # C1 + C3 in the difference table makes the Sylvester sigma2 one too
+    # large while sigma3 = sigma1 - 2 still holds: only the comparison with
+    # the prediction's multiplier sigma sees it, on every family, and the
+    # CLI exits 2 with both sigma in the dump
+    import json
+
+    from quadberk import invariants
+    from quadberk.cli import run
+
+    table = invariants._difference_table
+
+    def sigma2_plus_one(*args):
+        c0, c1, c2, c3 = table(*args)
+        return c0, c1 + c3, c2, c3
+
+    monkeypatch.setattr(invariants, "_difference_table", sigma2_plus_one)
+    rng = random.Random(28)
+    for kind in CASES:
+        ctx = P5 if kind == "Bi" else PrimeCtx(rng.choice((2, 3, 5, 7)))
+        lift = _case_instance(kind, rng, ctx.p, ctx)
+        with pytest.raises(ConsistencyFailure) as exc_info:
+            verify_consistency(lift, ctx)
+        assert type(exc_info.value) is ConsistencyFailure
+        details = exc_info.value.details
+        (s1, s2, s3), route = details["sigma"], details["route_sigma"]
+        assert (s1, s2 - 1, s3) == route == _multiplier_sigma(lift)
+
+    assert run(["verify", "-p", "5", "--map", "z + 1/5 + 1/z", "--json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["consistent"] is False
+    assert payload["details"]["sigma"] == ["74/25", "98/25", "24/25"]
+    assert payload["details"]["route_sigma"] == ["74/25", "73/25", "24/25"]
+
+
 def test_normal_form_verify_builds_one_profile(monkeypatch):
     # one profile search per verify, on the integer lines: ord_res_profile
     # is for the profile command
@@ -378,6 +413,17 @@ def test_verify_centers_checks_min_ord_res_against_sigma(monkeypatch):
     assert details["centers"] == [0, Fraction(-5, 2)]
 
 
+def _multiplier_sigma(phi) -> tuple:
+    """esf3 of the multipliers a normal form is built from, read off
+    identify_normal_form: (1, 1, 1 - s^2), or (l1, l2, l3) with l3 written
+    out as (l1 + l2 - 2)/(l1*l2 - 1)."""
+    form = identify_normal_form(phi)
+    if form[0] == "multiple":
+        return esf3(1, 1, 1 - form[1] ** 2)
+    _, l1, l2 = form
+    return esf3(l1, l2, (l1 + l2 - 2) / (l1 * l2 - 1))
+
+
 def _same_answer(report, expected):
     """min ordRes, the stratum and the residue kind, or its absence, agree."""
     assert report.min_ord_res == expected.min_ord_res
@@ -409,6 +455,7 @@ def test_verify_at_the_affine_images_of_the_normal_form_centers(case):
     # gamma^(-1)(-1) onto those from 0 and -1, so the centers reach xi
     phi, conj, centers, ctx = case
     assert sigma_invariants(conj) == sigma_invariants(phi)
+    assert sigma_invariants(conj).as_tuple() == _multiplier_sigma(phi)
     _same_answer(verify_consistency(conj, ctx, centers=centers), verify_consistency(phi, ctx))
 
 
@@ -416,8 +463,11 @@ def test_verify_at_the_affine_images_of_the_normal_form_centers(case):
 @settings(max_examples=200, deadline=None)
 def test_verify_at_the_mobius_images_of_the_normal_form_centers(case):
     # a general gamma moves the segments' other end off infinity, so the
-    # centers may miss xi, and then the miss is named
+    # centers may miss xi, and then the miss is named; it also moves
+    # infinity off its fixed point (b0 != 0 in general), so sigma takes its
+    # unshifted branch
     phi, conj, centers, ctx = case
+    assert sigma_invariants(conj).as_tuple() == _multiplier_sigma(phi)
     assume(identify_normal_form(conj) is None)
     try:
         report = verify_consistency(conj, ctx, centers=centers)
@@ -460,10 +510,11 @@ def test_identify_normal_form():
 
 
 def test_prediction_matches_search_per_case():
-    # per-case agreement between the closed form and the segment search
+    # per-case agreement between the closed form and the segment search:
+    # verify_consistency raises ConsistencyFailure on any disagreement
     for kind, p, lift in normal_form_corpus(52, 1000):
         if kind in CASES:
-            assert verify_consistency(lift, PrimeCtx(p)).consistent
+            verify_consistency(lift, PrimeCtx(p))
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: xi is reported in the "

@@ -359,11 +359,21 @@ def test_difference_table_matches_lagrange(args):
 
 
 def test_sigma_checks_its_shift(monkeypatch):
-    # the integer conjugate off infinity is checked by its resultant, so a
-    # degenerate one raises instead of giving a sigma; not an assert, as -O
-    # would drop it
+    # the integer conjugate off infinity must have the carried resultant
+    # exactly (its matrix has determinant -1), so a wrong shift raises
+    # instead of giving a sigma, degenerate or not: a kernel bug, not an
+    # input error; not an assert, as -O would drop it
     from quadberk import invariants
 
+    exact = invariants._conjugate_ints
     monkeypatch.setattr(invariants, "_conjugate_ints", lambda ints, *matrix: [1, 0, 0, 1, 0, 0])
-    with pytest.raises(DegenerateMapError):
+    with pytest.raises(InternalInvariantError):
         sigma_invariants(Z_SQUARED)
+    # coefficient 0 one too large: sigma3 = sigma1 - 2 still holds on the
+    # wrong integers, and z + 1/5 + 1/z would read (77/27, 73/27, 23/27)
+    monkeypatch.setattr(invariants, "_conjugate_ints",
+                        lambda ints, *matrix: [exact(ints, *matrix)[0] + 1, *exact(ints, *matrix)[1:]])
+    with pytest.raises(InternalInvariantError) as exc_info:
+        sigma_invariants(multiple_fixed_lift(Fraction(1, 5)))
+    details = exc_info.value.details
+    assert details["resultant"] != details["expected_resultant"] == multiple_fixed_lift(Fraction(1, 5))._res
