@@ -5,12 +5,12 @@ The three fixed points of a quadratic rational map carry multipliers
 map; their elementary symmetric functions (sigma_1, sigma_2, sigma_3) are
 rational and are computed here exactly from three integer resultants of
 the integers the lift carries from construction, or, when infinity is
-fixed, of one conjugate of those integers (5x5 Sylvester determinants by
-exact Fraction elimination), and the carried resultant Res(F, G), checked
-to be the conjugate's too.  The identity sigma_3 = sigma_1 - 2, a
-consequence of the rational fixed-point residue formula
-sum 1/(1 - lambda_i) = 1, is enforced on the result type and checks all
-three determinants against Res(F, G).
+fixed, of one conjugate of those integers (two 5x5 Sylvester determinants
+by exact Fraction elimination and one closed form), and the carried
+resultant Res(F, G), checked to be the conjugate's too.  The identity
+sigma_3 = sigma_1 - 2, a consequence of the rational fixed-point residue
+formula sum 1/(1 - lambda_i) = 1, is enforced on the result type and
+checks all three resultants against Res(F, G).
 """
 
 from __future__ import annotations
@@ -64,14 +64,16 @@ def _sigma_from_finite_fixed(ints: list, res: int) -> SigmaInvariants:
     alpha is A(alpha)/B(alpha); M(T) = Res_z(P, A - T*B) is then
     proportional to the cubic with the multipliers as roots.  Its T^3
     coefficient Res_z(P, -B) = -b0*res is nonzero (res != 0 is checked where
-    it is made), so three integer values M(0..2) fix M.  sigma3 = sigma1 - 2
-    reads M(0) + 2*M(1) - M(2) = 2*b0*res, a check of each value against res.
+    it is made), so three integer values fix M: M(0) and M(1), Sylvester
+    determinants, and M(-2) in closed form.  sigma3 = sigma1 - 2 reads
+    9*M(0) = 2*M(1) + M(-2) - 18*b0*res, a check of each value against res.
     """
     a0, a1, a2, b0, b1, b2 = ints
     # leading-first at formal degrees 3 and 2: P, and Q_t = A - t*B
-    p3, p2, p1, p0 = map(Fraction, (-b0, a0 - b1, a1 - b2, a2))
+    p = (-b0, a0 - b1, a1 - b2, a2)
+    p3, p2, p1, p0 = map(Fraction, p)
     values = []
-    for t in (0, 1, 2):
+    for t in (0, 1):
         q2, q1, q0 = map(Fraction, (-(2 + t) * b0, 2 * a0 - (1 + t) * b1, a1 - t * b2))
         sylvester = [
             [p3, p2, p1, p0, _ZERO],
@@ -82,8 +84,16 @@ def _sigma_from_finite_fixed(ints: list, res: int) -> SigmaInvariants:
         ]
         # a determinant of integer rows: its denominator is 1
         values.append(_det(sylvester).numerator)
+    values.append(_value_at_minus_two(*p, 2 * a0 + b1, a1 + 2 * b2))
     c0, c1, c2, c3 = _difference_table(*values, -b0 * res)
     return SigmaInvariants(Fraction(-c2, c3), Fraction(c1, c3), Fraction(-c0, c3))
+
+
+def _value_at_minus_two(p3: int, p2: int, p1: int, p0: int, q1: int, q0: int) -> int:
+    """M(-2) = Res_z(P, A + 2*B) on integers: A - T*B has z^2 coefficient
+    -(2 + T)*b0, zero at T = -2, so the Sylvester matrix's first column is
+    (p3, 0, 0, 0, 0), and its minor is the resultant of P and q1*z + q0."""
+    return p3 * (p3 * q0**3 - p2 * q0**2 * q1 + p1 * q0 * q1**2 - p0 * q1**3)
 
 
 def _det(rows: list) -> Fraction:
@@ -109,14 +119,13 @@ def _det(rows: list) -> Fraction:
     return det
 
 
-def _difference_table(y0: int, y1: int, y2: int, lead: int) -> tuple:
-    """(C0, C1, C2, C3) with 2*M(T) = C3*T^3 + C2*T^2 + C1*T + C0 for the
-    cubic M with T^3 coefficient lead and M(t) = y_t, t = 0..2: the
-    differences of the values less lead*t^3, integers for integer input."""
-    e1 = y1 - y0 - lead
-    e2 = y2 - y0 - 8 * lead
-    c2 = e2 - 2 * e1
-    return 2 * y0, 2 * e1 - c2, c2, 2 * lead
+def _difference_table(y0: int, y1: int, ym: int, lead: int) -> tuple:
+    """(C0, C1, C2, C3) with 6*M(T) = C3*T^3 + C2*T^2 + C1*T + C0 for the
+    cubic M with T^3 coefficient lead, M(0) = y0, M(1) = y1 and M(-2) = ym:
+    the values less lead*T^3 and M(0), integers for integer input."""
+    e1 = y1 - lead - y0
+    e2 = ym + 8 * lead - y0
+    return 6 * y0, 4 * e1 - e2, 2 * e1 + e2, 6 * lead
 
 
 def _deterministic_shift(ints: list) -> list:

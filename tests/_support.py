@@ -273,8 +273,8 @@ def sigma_milnor_oracle(lift: Lift) -> tuple:
     return tuple(Fraction(n, res) for n in (n1, n2, n1 - 2 * res))
 
 
-def multiplier_values_oracle(ints) -> list:
-    """[M(0), M(1), M(2), M(3)] of the multiplier cubic M(t) = Res_z(P, A - t*B)
+def multiplier_values_oracle(ints, nodes) -> list:
+    """[M(t) for t in nodes] of the multiplier cubic M(t) = Res_z(P, A - t*B)
     at formal degrees (3, 2), with P = f - z*g, A = f' - z*g' and B = g
     built from the six integers of f and g, each by perm_det of the generic
     Sylvester matrix."""
@@ -283,7 +283,7 @@ def multiplier_values_oracle(ints) -> list:
     z = [0, 1]
     p_fix = add(f, scale(mul(z, g), -1))
     a_poly = add([a1, 2 * a0], scale(mul(z, [b1, 2 * b0]), -1))
-    return [perm_det(sylvester_matrix(p_fix, add(a_poly, scale(g, -t)), 3, 2)) for t in range(4)]
+    return [perm_det(sylvester_matrix(p_fix, add(a_poly, scale(g, -t)), 3, 2)) for t in nodes]
 
 
 def difference_table_oracle(y0, y1, y2, y3) -> tuple:
@@ -314,8 +314,23 @@ def sigma_four_values_oracle(lift: Lift) -> tuple:
     """(sigma1, sigma2, sigma3) by the four-value route: M(0..3) of
     finite_fixed_ints_oracle's integers by multiplier_values_oracle, the
     cubic 6*M by difference_table_oracle, no value read off a resultant."""
-    values = multiplier_values_oracle(finite_fixed_ints_oracle(lift))
+    values = multiplier_values_oracle(finite_fixed_ints_oracle(lift), range(4))
     c0, c1, c2, c3 = difference_table_oracle(*values)
+    return (-c2 / c3, c1 / c3, -c0 / c3)
+
+
+def sigma_three_values_oracle(lift: Lift) -> tuple:
+    """(sigma1, sigma2, sigma3) by the three-value route: M(0..2) of
+    finite_fixed_ints_oracle's integers by multiplier_values_oracle, the
+    lead -b0*Res by perm_det, and 2*M = C3*T^3 + C2*T^2 + C1*T + C0 from the
+    forward differences of the values less lead*t^3."""
+    ints = finite_fixed_ints_oracle(lift)
+    lead = -ints[3] * perm_det(sylvester_rows(ints[:3], ints[3:]))
+    y0, y1, y2 = multiplier_values_oracle(ints, range(3))
+    e1 = y1 - y0 - lead
+    e2 = y2 - y0 - 8 * lead
+    c2 = e2 - 2 * e1
+    c0, c1, c3 = 2 * y0, 2 * e1 - c2, 2 * lead
     return (-c2 / c3, c1 / c3, -c0 / c3)
 
 

@@ -456,10 +456,10 @@ def test_cli_consistency_failure_exit_code(capsys, monkeypatch):
 
 
 def _first_value_off_by_one(module):
-    # M(0) of every sigma one too large (sigma makes three _det calls), so
+    # M(0) of every sigma one too large (sigma makes two _det calls), so
     # sigma3 = sigma1 - 2 fails
     exact, calls = module._det, itertools.count()
-    return "_det", lambda rows: exact(rows) + (next(calls) % 3 == 0)
+    return "_det", lambda rows: exact(rows) + (next(calls) % 2 == 0)
 
 
 def _first_numerator_times_5(module):

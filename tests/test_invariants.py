@@ -32,6 +32,7 @@ from _support import (
     rand_mobius,
     sigma_four_values_oracle,
     sigma_milnor_oracle,
+    sigma_three_values_oracle,
     sylvester_rows,
 )
 
@@ -55,6 +56,24 @@ def test_sigma_multiple_form():
     sig = sigma_invariants(multiple_fixed_lift(Fraction(1, 5)))
     assert sig.as_tuple() == esf3(1, 1, Fraction(24, 25))
     assert sig.as_tuple() == (Fraction(74, 25), Fraction(73, 25), Fraction(24, 25))
+
+
+def test_sigma_chebyshev_map_has_a_multiplier_at_the_closed_form_node(monkeypatch):
+    # z^2 - 2 has multipliers (4, -2, 0) at (2, -1, infinity), so M(-2) = 0;
+    # infinity is fixed (b0 = 0), so it goes through the shift, while its
+    # conjugate by 1/z, z^2/(1 - 2z^2), has b0 = -2 and takes the direct branch
+    from quadberk import invariants
+
+    closed, seen = invariants._value_at_minus_two, []
+
+    def value_at_minus_two(*args):
+        seen.append(closed(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(invariants, "_value_at_minus_two", value_at_minus_two)
+    for lift in (Lift(1, 0, -2, 0, 0, 1), Lift(1, 0, 0, -2, 0, 1)):
+        assert sigma_invariants(lift).as_tuple() == esf3(4, -2, 0) == (2, -8, 0)
+    assert seen == [0, 0]
 
 
 def test_sigma_shift_builds_no_mobius(monkeypatch):
@@ -198,37 +217,43 @@ def test_sigma_checks_its_cubic(monkeypatch):
     exact = invariants._det
 
     def quadratic_first(rows):
-        # M(t) = t^2 + 1 on the first three calls, the true values after: a
-        # retry would then succeed
+        # M(t) = t^2 + 1 on the first two calls, M(0) and M(1), the true
+        # values after: a retry would then succeed
         nonlocal calls
         t, calls = calls, calls + 1
-        return t * t + 1 if t < 3 else exact(rows)
+        return t * t + 1 if t < 2 else exact(rows)
 
     monkeypatch.setattr(invariants, "_det", quadratic_first)
     for lift in (distinct_fixed_lift(Fraction(1, 3), 2), Lift(1, 2, 3, 4, 5, 7)):
         calls = 0
         with pytest.raises(InternalInvariantError):
             sigma_invariants(lift)
-        assert calls == 3
+        assert calls == 2
 
 
 @pytest.mark.parametrize("lift", [
     distinct_fixed_lift(Fraction(1, 3), 2), Lift(1, 2, 3, 4, 5, 7), Z_SQUARED,
 ], ids=["normal-form", "finite-fixed", "infinity-fixed"])
 def test_sigma_checks_each_value_against_the_resultant(monkeypatch, lift):
-    # sigma3 = sigma1 - 2 reads M(0) + 2*M(1) - M(2) = 2*b0*Res: one value
-    # off by one, whichever, raises; the check may not be an assert (-O)
+    # sigma3 = sigma1 - 2 reads 9*M(0) = 2*M(1) + M(-2) + 18*lead: one value
+    # off by one, whichever, raises; M(0) and M(1) are the two _det calls,
+    # M(-2) the closed form; the check may not be an assert (-O)
     from quadberk import invariants
 
-    exact, calls, off_by = invariants._det, [], {}
+    calls, off_by = [], {}
 
-    def det(rows):
-        calls.append(rows)
-        return exact(rows) + off_by.get(len(calls) - 1, 0)
+    def off(name):
+        exact = getattr(invariants, name)
 
-    monkeypatch.setattr(invariants, "_det", det)
+        def value(*args):
+            calls.append(name)
+            return exact(*args) + off_by.get(len(calls) - 1, 0)
+        monkeypatch.setattr(invariants, name, value)
+
+    off("_det")
+    off("_value_at_minus_two")
     assert sigma_invariants(lift).as_tuple() == sigma_milnor_oracle(lift)
-    assert len(calls) == 3
+    assert calls == ["_det", "_det", "_value_at_minus_two"]
     for i in range(3):
         for delta in (1, -1):
             calls.clear()
@@ -277,10 +302,11 @@ def test_det_matches_permutation_expansion(rows):
 @st.composite
 def finite_fixed_ints(draw):
     """Six integers with b0 != 0 (infinity not fixed) and a nonzero
-    resultant; a2 = 0 (z = 0 fixed), a1 = t*b2 for some t in 0..3 (a zero
-    constant term in A - t*B), or both (z = 0 fixed with multiplier t, so
-    M(t) = 0 and a Sylvester matrix of sigma's is singular when t <= 2) in
-    about a quarter of the draws each."""
+    resultant; a2 = 0 (z = 0 fixed), a1 = t*b2 for some t in {-2, 0, 1, 2, 3}
+    (a zero constant term in A - t*B), or both (z = 0 fixed with multiplier
+    t, so M(t) = 0: a Sylvester matrix of sigma's is singular when t is 0 or
+    1, and the closed form M(-2) is 0 when t = -2) in about a quarter of the
+    draws each."""
     big = st.integers(-(2**30), 2**30)
     a0, a1, a2, b1, b2 = (draw(big) for _ in range(5))
     b0 = draw(big.filter(bool))
@@ -288,7 +314,7 @@ def finite_fixed_ints(draw):
     if shape.startswith("a2 = 0"):
         a2 = 0
     if shape.endswith("a1 = t*b2"):
-        a1 = draw(st.integers(0, 3)) * b2
+        a1 = draw(st.sampled_from((-2, 0, 1, 2, 3))) * b2
     assume((a0 * b2 - a2 * b0) ** 2 != (a0 * b1 - a1 * b0) * (a1 * b2 - a2 * b1))
     return [a0, a1, a2, b0, b1, b2]
 
@@ -296,12 +322,12 @@ def finite_fixed_ints(draw):
 @given(finite_fixed_ints())
 @settings(max_examples=200, deadline=None)
 def test_sigma_resultants_match_generic_sylvester(ints):
-    # the three values M(0..2) are Res_z(P, A - t*B), against the
+    # the three values M(0), M(1), M(-2) are Res_z(P, A - t*B), against the
     # permutation expansion of the generic Sylvester matrix, and the lead is
     # -b0 times the permutation expansion of Res(F, G)
     from quadberk import invariants
 
-    expected = multiplier_values_oracle(ints)[:3]
+    expected = multiplier_values_oracle(ints, (0, 1, -2))
     lead = -ints[3] * perm_det(sylvester_rows(ints[:3], ints[3:]))
     seen = []
     table = invariants._difference_table
@@ -328,14 +354,17 @@ def infinity_fixed_lifts(draw):
 def test_sigma_matches_the_four_value_oracle(lift):
     sigma = sigma_invariants(lift).as_tuple()
     assert sigma == sigma_four_values_oracle(lift) == sigma_milnor_oracle(lift)
-    # the fourth value, which sigma no longer reads, is the cubic through the
-    # three it reads with the lead -b0*Res
+    assert sigma == sigma_three_values_oracle(lift)
+    # M(2) and M(3), which sigma no longer reads, are on the cubic through
+    # the three it reads with the lead -b0*Res
     ints = finite_fixed_ints_oracle(lift)
-    values = multiplier_values_oracle(ints)
+    nodes = (0, 1, -2, 2, 3)
+    values = multiplier_values_oracle(ints, nodes)
     lead = -ints[3] * perm_det(sylvester_rows(ints[:3], ints[3:]))
-    m0, m1, m2 = (lagrange_interpolate([(t, values[t] - lead * t**3) for t in range(3)])
+    m0, m1, m2 = (lagrange_interpolate([(t, y - lead * t**3) for t, y in zip(nodes[:3], values)])
                   + [0, 0, 0])[:3]
-    assert values[3] == lead * 27 + m2 * 9 + m1 * 3 + m0
+    for t, y in zip(nodes[3:], values[3:]):
+        assert y == lead * t**3 + m2 * t**2 + m1 * t + m0
 
 
 @st.composite
@@ -348,13 +377,13 @@ def values_and_lead(draw):
 @given(values_and_lead())
 @settings(max_examples=300, deadline=None)
 def test_difference_table_matches_lagrange(args):
-    # the cubic with the given lead through (t, y_t), t = 0..2: Lagrange
-    # through the values less lead*t^3, then the lead put back
+    # the cubic with the given lead through (0, y0), (1, y1) and (-2, ym):
+    # Lagrange through the values less lead*t^3, then the lead put back
     from quadberk import invariants
 
     *values, lead = args
-    quadratic = lagrange_interpolate([(t, y - lead * t**3) for t, y in enumerate(values)])
-    expected = [2 * c for c in quadratic] + [0] * (3 - len(quadratic)) + [2 * lead]
+    quadratic = lagrange_interpolate([(t, y - lead * t**3) for t, y in zip((0, 1, -2), values)])
+    expected = [6 * c for c in quadratic] + [0] * (3 - len(quadratic)) + [6 * lead]
     assert list(invariants._difference_table(*values, lead)) == expected
 
 
